@@ -5,13 +5,16 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fveval/internal/engine"
 )
 
 // goldenCases pins the unified Report wire format with one task per
-// paper table, each on a small deterministic slice. Regenerate with
+// paper table, each on a small deterministic slice, plus the rendered
+// table or figure text of each report (the .txt file beside each .json
+// golden). Regenerate with
 //
 //	UPDATE_GOLDEN=1 go test ./internal/task -run TestGolden
 type goldenCase struct {
@@ -59,11 +62,42 @@ func goldenCases() []goldenCase {
 			Params:  Params{Models: []string{"gpt-4o"}, Count: 5, Rounds: []int{0, 2}},
 			Options: engine.Config{Samples: 2, Workers: 1},
 		}},
+		{"figure6_bleu_correlation.json", Request{
+			Task:    "bleu-correlation",
+			Params:  Params{Models: []string{"gpt-4o", "llama-3.1-70b"}},
+			Options: engine.Config{Limit: 8, Workers: 1},
+		}},
+	}
+}
+
+// renderFile names the rendered-text golden beside a report golden.
+func renderFile(file string) string {
+	return strings.TrimSuffix(file, ".json") + ".txt"
+}
+
+// checkGolden compares got against testdata/file, or rewrites the file
+// when update is set.
+func checkGolden(t *testing.T, file string, got []byte, update bool) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from golden %s:\n--- got ---\n%s\n--- want ---\n%s", file, got, want)
 	}
 }
 
 // TestGoldenReports runs each pinned request and compares the encoded
-// unified Report byte-for-byte against its golden file.
+// unified Report and its rendered text byte-for-byte against their
+// golden files.
 func TestGoldenReports(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	e := NewEngine(engine.Config{})
@@ -77,21 +111,8 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, '\n')
-			path := filepath.Join("testdata", c.file)
-			if update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("report drifted from golden %s:\n--- got ---\n%s\n--- want ---\n%s", c.file, got, want)
-			}
+			checkGolden(t, c.file, append(got, '\n'), update)
+			checkGolden(t, renderFile(c.file), []byte(run.Report.Render()), update)
 		})
 	}
 }
@@ -118,10 +139,8 @@ func TestGoldenRoundTrip(t *testing.T) {
 			if !bytes.Equal(data, again) {
 				t.Errorf("round trip not identical for %s:\n--- decoded+encoded ---\n%s", c.file, again)
 			}
-			// A decoded report must still render its table.
-			if rep.Render() == "" {
-				t.Errorf("decoded report renders empty")
-			}
+			// A decoded report must render the same text as the run.
+			checkGolden(t, renderFile(c.file), []byte(rep.Render()), false)
 		})
 	}
 }
