@@ -57,101 +57,78 @@ func reportPrefilter(b *testing.B, snaps ...formal.Snapshot) {
 	}
 }
 
+// runTask executes one registry request on a fresh task engine under
+// cfg, returning the run and the engine's formal counters.
+func runTask(b *testing.B, cfg engine.Config, req task.Request) (*task.Run, formal.Snapshot) {
+	b.Helper()
+	e := task.NewEngine(cfg)
+	run, err := e.Run(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return run, e.FormalStats()
+}
+
 func BenchmarkTable1NL2SVAHuman(b *testing.B) {
 	isolate(b)
 	for i := 0; i < b.N; i++ {
-		reports, err := engine.RunNL2SVAHuman(llm.Models(), engine.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
+		run, _ := runTask(b, engine.Config{}, task.Request{Task: "nl2sva-human"})
 		if i == 0 {
-			b.Log("\n" + core.FormatTable1(reports))
+			b.Log("\n" + run.Report.Render())
 		}
 	}
 }
 
 func BenchmarkTable2HumanPassK(b *testing.B) {
-	models := []llm.Model{
-		llm.ModelByName("gpt-4o"),
-		llm.ModelByName("gemini-1.5-flash"),
-		llm.ModelByName("llama-3.1-70b"),
-	}
 	isolate(b)
 	for i := 0; i < b.N; i++ {
-		reports, err := engine.RunNL2SVAHumanPassK(models, []int{1, 3, 5}, engine.Config{Samples: 5, Workers: 8})
-		if err != nil {
-			b.Fatal(err)
-		}
+		run, _ := runTask(b, engine.Config{Samples: 5, Workers: 8}, task.Request{Task: "nl2sva-human-passk"})
 		if i == 0 {
-			b.Log("\n" + core.FormatTable2(reports))
+			b.Log("\n" + run.Report.Render())
 		}
 	}
 }
 
+// BenchmarkTable3NL2SVAMachine evaluates each shot setting on its own
+// fresh engine, so neither column is served from the other's memo.
 func BenchmarkTable3NL2SVAMachine(b *testing.B) {
-	ctx := context.Background()
 	var snaps []formal.Snapshot
 	isolate(b)
 	for i := 0; i < b.N; i++ {
-		e0 := engine.New(engine.Config{})
-		zero, err := e0.NL2SVAMachine(ctx, llm.Models(), 0, 300, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e3 := engine.New(engine.Config{})
-		three, err := e3.NL2SVAMachine(ctx, llm.Models(), 3, 300, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snaps = append(snaps, e0.FormalStats(), e3.FormalStats())
+		zero, s0 := runTask(b, engine.Config{}, task.Request{Task: "nl2sva-machine", Params: task.Params{Shots: []int{0}}})
+		three, s3 := runTask(b, engine.Config{}, task.Request{Task: "nl2sva-machine", Params: task.Params{Shots: []int{3}}})
+		snaps = append(snaps, s0, s3)
 		if i == 0 {
-			b.Log("\n" + core.FormatTable3(zero, three))
+			b.Log("\n" + core.FormatTable3(zero.Report.Groups[0].ModelReports(), three.Report.Groups[0].ModelReports()))
 		}
 	}
 	reportPrefilter(b, snaps...)
 }
 
 func BenchmarkTable4MachinePassK(b *testing.B) {
-	models := []llm.Model{
-		llm.ModelByName("gpt-4o"),
-		llm.ModelByName("gemini-1.5-flash"),
-		llm.ModelByName("llama-3.1-70b"),
-	}
-	ctx := context.Background()
 	var snaps []formal.Snapshot
 	isolate(b)
 	for i := 0; i < b.N; i++ {
-		eng := engine.New(engine.Config{Samples: 5, Workers: 8})
-		reports, err := eng.NL2SVAMachinePassK(ctx, models, []int{1, 3, 5}, 300, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snaps = append(snaps, eng.FormalStats())
+		run, snap := runTask(b, engine.Config{Samples: 5, Workers: 8}, task.Request{Task: "nl2sva-machine-passk"})
+		snaps = append(snaps, snap)
 		if i == 0 {
-			b.Log("\n" + core.FormatTable4(reports))
+			b.Log("\n" + run.Report.Render())
 		}
 	}
 	reportPrefilter(b, snaps...)
 }
 
+// BenchmarkTable5Design2SVA evaluates each design category on its own
+// fresh engine.
 func BenchmarkTable5Design2SVA(b *testing.B) {
-	ctx := context.Background()
 	var snaps []formal.Snapshot
 	isolate(b)
 	for i := 0; i < b.N; i++ {
-		ep := engine.New(engine.Config{Samples: 5})
-		pipe, err := ep.Design2SVA(ctx, llm.DesignModels(), "pipeline", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ef := engine.New(engine.Config{Samples: 5})
-		fsm, err := ef.Design2SVA(ctx, llm.DesignModels(), "fsm", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snaps = append(snaps, ep.FormalStats(), ef.FormalStats())
+		pipe, sp := runTask(b, engine.Config{Samples: 5}, task.Request{Task: "design2sva", Params: task.Params{Kinds: []string{"pipeline"}}})
+		fsm, sf := runTask(b, engine.Config{Samples: 5}, task.Request{Task: "design2sva", Params: task.Params{Kinds: []string{"fsm"}}})
+		snaps = append(snaps, sp, sf)
 		if i == 0 {
-			b.Log("\n" + core.FormatTable5(pipe, fsm))
+			b.Log("\n" + core.FormatTable5(pipe.Report.Groups[0].DesignReports(), fsm.Report.Groups[0].DesignReports()))
 		}
 	}
 	reportPrefilter(b, snaps...)
@@ -197,18 +174,11 @@ func BenchmarkFigure4RTLLengths(b *testing.B) {
 }
 
 func BenchmarkFigure6BLEUCorrelation(b *testing.B) {
-	models := []llm.Model{
-		llm.ModelByName("gpt-4o"),
-		llm.ModelByName("llama-3.1-70b"),
-	}
 	isolate(b)
 	for i := 0; i < b.N; i++ {
-		out, err := engine.New(engine.Config{}).Figure6(context.Background(), models, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
+		run, _ := runTask(b, engine.Config{}, task.Request{Task: "bleu-correlation"})
 		if i == 0 {
-			b.Log("\n" + out)
+			b.Log("\n" + run.Report.Render())
 		}
 	}
 }
@@ -217,16 +187,11 @@ func BenchmarkFigure6BLEUCorrelation(b *testing.B) {
 // full size: the whole helpergen sweep, sampled decoding, pass@k
 // fleet (DESIGN.md §12).
 func BenchmarkTableAGR(b *testing.B) {
-	ctx := context.Background()
 	var snaps []formal.Snapshot
 	isolate(b)
 	for i := 0; i < b.N; i++ {
-		e := task.NewEngine(engine.Config{Samples: 5, Workers: 8})
-		run, err := e.Run(ctx, task.Request{Task: "agr"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		snaps = append(snaps, e.FormalStats())
+		run, snap := runTask(b, engine.Config{Samples: 5, Workers: 8}, task.Request{Task: "agr"})
+		snaps = append(snaps, snap)
 		if i == 0 {
 			b.Log("\n" + run.Report.Render())
 		}
@@ -239,15 +204,10 @@ func BenchmarkTableAGR(b *testing.B) {
 // per regeneration as a custom metric, so BENCH_tables.json tracks
 // feedback-loop traffic next to ns/op.
 func BenchmarkFigureR(b *testing.B) {
-	ctx := context.Background()
 	var rounds int64
 	isolate(b)
 	for i := 0; i < b.N; i++ {
-		e := task.NewEngine(engine.Config{Samples: 5, Workers: 8})
-		run, err := e.Run(ctx, task.Request{Task: "refinement"})
-		if err != nil {
-			b.Fatal(err)
-		}
+		run, _ := runTask(b, engine.Config{Samples: 5, Workers: 8}, task.Request{Task: "refinement"})
 		rounds += run.Stats.RefineRounds
 		if i == 0 {
 			b.Log("\n" + run.Report.Render())
@@ -383,7 +343,8 @@ func BenchmarkAblationCritic(b *testing.B) {
 
 // BenchmarkAblationFeedback measures the §6 future-work extension: a
 // tool-feedback refinement loop around a weak model, comparing syntax
-// pass rates with and without retries.
+// pass rates with and without retries. The wrapped model is not in the
+// registry's fleet, so it runs the NL2SVA-Human family directly.
 func BenchmarkAblationFeedback(b *testing.B) {
 	base := llm.ModelByName("llama-3-8b")
 	wrapped := &llm.FeedbackModel{
@@ -399,11 +360,12 @@ func BenchmarkAblationFeedback(b *testing.B) {
 	}{{"base", base}, {"with-feedback", wrapped}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				reports, err := engine.RunNL2SVAHuman([]llm.Model{cfg.model}, engine.Config{})
+				g, err := engine.New(engine.Config{}).Run(context.Background(), engine.Human(false), []llm.Model{cfg.model}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
+					reports := g.ModelReports()
 					b.Logf("%s: syntax=%.3f func=%.3f", cfg.model.Name(),
 						reports[0].Syntax, reports[0].Func)
 				}

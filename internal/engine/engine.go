@@ -17,11 +17,13 @@
 // instance axis (never the sample axis, so per-instance pass@k folds
 // stay complete within a shard).
 //
-// Every evaluation method takes a context.Context and an optional
-// Observer: cancelling the context stops feeding the worker pool and
-// the method returns ctx.Err(); the observer receives one Progress
-// per completed job, delivered from the collector goroutine (calls
-// are serialized, never concurrent).
+// Every task family (NL2SVA-Human, NL2SVA-Machine, Design2SVA, AGR,
+// refinement) is a Family value evaluated by the one entry point,
+// Engine.Run. It takes a context.Context and an optional Observer:
+// cancelling the context stops feeding the worker pool and Run
+// returns ctx.Err(); the observer receives one Progress per completed
+// job, delivered from the collector goroutine (calls are serialized,
+// never concurrent).
 package engine
 
 import (
@@ -36,11 +38,9 @@ import (
 	"fveval/internal/equiv"
 	"fveval/internal/fault"
 	"fveval/internal/formal"
-	"fveval/internal/gen/rtlgen"
 	"fveval/internal/llm"
 	"fveval/internal/mc"
 	"fveval/internal/obs"
-	"fveval/internal/sva"
 )
 
 // Shard selects one horizontal slice of the instance axis: a process
@@ -92,9 +92,10 @@ type Config struct {
 	Workers int `json:"workers,omitempty"`
 	// Shard restricts this process to one slice of the instance axis.
 	Shard Shard `json:"shard,omitzero"`
-	// NoCache disables every run-wide memo (equivalence checks,
-	// translation judgments, design judgments). Verdicts are identical
-	// either way; the memos only skip duplicate solves.
+	// NoCache disables every run-wide memo: the equivalence-check cache
+	// and the judgment memo of every task family (translation, design
+	// and helper judgments). Verdicts are identical either way; the
+	// memos only skip duplicate solves.
 	NoCache bool `json:"no_cache,omitempty"`
 	// SimPatterns sets how many bit-parallel simulation patterns the
 	// formal backend's refute-before-solve prefilter evaluates per
@@ -189,26 +190,13 @@ type state struct {
 	// request's queries.
 	bank *formal.Bank
 
-	// transMu guards transMemo, the run-wide translation-judgment memo:
-	// identical extracted responses recur across samples and models, and
-	// memoizing the whole judgment skips their repeated parse, BLEU, and
-	// equivalence work. nil when caching is disabled.
-	transMu   sync.Mutex
-	transMemo map[string]core.Outcome
-
-	// designMu guards designMemo: identical Design2SVA snippets recur
-	// across samples and models, so the expensive elaborate+prove
-	// judgment is memoized per (kind, instance, snippet). nil when
-	// caching is disabled.
-	designMu   sync.Mutex
-	designMemo map[string]designCell
-
-	// helperMu guards helperMemo, the AGR analogue of designMemo:
-	// identical helper-set snippets recur across samples and models,
-	// so the lemma-pipeline judgment is memoized per (instance,
-	// snippet). nil when caching is disabled.
-	helperMu   sync.Mutex
-	helperMemo map[string]helperCell
+	// memoMu guards memo, the run-wide judgment memo shared by every
+	// Family: identical extracted responses recur across samples and
+	// models, so the whole judgment (parse, BLEU, equivalence, or
+	// elaborate+prove) is memoized per (family tag, instance, code).
+	// nil when caching is disabled.
+	memoMu sync.Mutex
+	memo   map[string]core.Outcome
 
 	// refineRounds counts FeedbackModel retry rounds performed by
 	// refinement runs on this pool — the per-run delta is surfaced as
@@ -220,9 +208,7 @@ func newState(noCache bool) *state {
 	st := &state{formal: &formal.Stats{}, bank: formal.NewBank(0)}
 	if !noCache {
 		st.cache = equiv.NewCache()
-		st.transMemo = map[string]core.Outcome{}
-		st.designMemo = map[string]designCell{}
-		st.helperMemo = map[string]helperCell{}
+		st.memo = map[string]core.Outcome{}
 	}
 	return st
 }
@@ -232,14 +218,6 @@ type Engine struct {
 	cfg Config
 	st  *state
 }
-
-type designCell struct{ syntax, proven bool }
-
-// dataset tags namespace memo keys across sub-benchmarks.
-const (
-	datasetHuman   = "human"
-	datasetMachine = "machine"
-)
 
 // New builds an engine; cfg must be valid (see Config.Validate — New
 // panics on malformed configs so misconfigured processes fail loudly
@@ -271,36 +249,6 @@ func (e *Engine) Reconfigure(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg.withDefaults(), st: st}, nil
 }
 
-// judgeTranslation memoizes core.JudgeTranslation per (dataset,
-// instance, extracted code). The judgment depends only on the code and
-// the instance's reference environment — never on the prompt or shot
-// count — so entries are shared across samples, models, and shot
-// settings. Judgments are deterministic, so racing duplicate
-// computation is harmless.
-func (e *Engine) judgeTranslation(ctx context.Context, dataset, id, response string, ref *sva.Assertion, sigs *equiv.Sigs) core.Outcome {
-	opt := e.equivOptions(ctx)
-	st := e.st
-	if st.transMemo == nil {
-		return core.JudgeTranslation(id, response, ref, sigs, opt, st.cache)
-	}
-	code := llm.ExtractCode(response)
-	key := dataset + "\x00" + id + "\x00" + code
-	st.transMu.Lock()
-	o, ok := st.transMemo[key]
-	st.transMu.Unlock()
-	if ok {
-		obs.SpanFrom(ctx).SetBool("memo_hit", true)
-		return o
-	}
-	// ExtractCode is idempotent, so the pre-extracted code stands in
-	// for the raw response.
-	o = core.JudgeTranslation(id, code, ref, sigs, opt, st.cache)
-	st.transMu.Lock()
-	st.transMemo[key] = o
-	st.transMu.Unlock()
-	return o
-}
-
 // Config returns the resolved (defaulted) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
@@ -311,10 +259,6 @@ func (e *Engine) CacheStats() equiv.CacheStats { return e.st.cache.Stats() }
 // FormalStats snapshots the incremental formal backend's solver-reuse
 // and bound-ramp counters for this engine's runs.
 func (e *Engine) FormalStats() formal.Snapshot { return e.st.formal.Snapshot() }
-
-// SimStats snapshots the simulation-prefilter counters (a projection
-// of FormalStats, for callers that only surface the prefilter).
-func (e *Engine) SimStats() formal.SimStats { return e.st.formal.Snapshot().Sim }
 
 // simBank resolves the pattern bank the formal backend should use:
 // the shared pool bank, or nil when the prefilter is off (no point
@@ -498,33 +442,20 @@ func generate(ctx context.Context, m llm.Model, p *llm.Prompt, sample int) strin
 	return resp
 }
 
-// names extracts the model-name axis for progress reporting.
-func names(models []llm.Model) []string {
-	out := make([]string, len(models))
-	for i, m := range models {
-		out[i] = m.Name()
-	}
-	return out
-}
-
-// clip truncates to cfg.Limit, then keeps this shard's instances; it
-// also returns the post-limit pre-shard count, the grid's global
-// instance-axis length.
-func clip[T any](xs []T, cfg Config) ([]T, int) {
+// clip truncates to cfg.Limit, keeps this shard's instances, and
+// builds each kept instance's Item; it also returns the post-limit
+// pre-shard count, the grid's global instance-axis length.
+func clip[T any](xs []T, cfg Config, item func(T) Item) ([]Item, int) {
 	if cfg.Limit > 0 && cfg.Limit < len(xs) {
 		xs = xs[:cfg.Limit]
 	}
-	total := len(xs)
-	if !cfg.Shard.Enabled() {
-		return xs, total
-	}
-	var out []T
+	out := make([]Item, 0, len(xs))
 	for i, x := range xs {
-		if i%cfg.Shard.Count == cfg.Shard.Index {
-			out = append(out, x)
+		if !cfg.Shard.Enabled() || i%cfg.Shard.Count == cfg.Shard.Index {
+			out = append(out, item(x))
 		}
 	}
-	return out, total
+	return out, len(xs)
 }
 
 // passKSamples resolves the sample count for pass@k runs (the paper
@@ -534,205 +465,4 @@ func (e *Engine) passKSamples() int {
 		return 5
 	}
 	return e.cfg.Samples
-}
-
-// ---- NL2SVA-Human -------------------------------------------------------
-
-// HumanGrid evaluates the NL2SVA-Human grid and returns the raw
-// outcome lattice with shard provenance; sampled draws passKSamples
-// per instance, otherwise one greedy sample.
-func (e *Engine) HumanGrid(ctx context.Context, models []llm.Model, sampled bool, obs Observer) (*Grid, error) {
-	insts, err := core.LoadHuman()
-	if err != nil {
-		return nil, err
-	}
-	kept, total := clip(insts, e.cfg)
-	n := 1
-	if sampled {
-		n = e.passKSamples()
-	}
-	// Prompts depend only on the instance, so build each once instead
-	// of once per (model, sample) job; models treat them read-only.
-	prompts := make([]*llm.Prompt, len(kept))
-	for i, in := range kept {
-		prompts[i] = llm.BuildHumanPrompt(in.ID, in.Testbench.Source, in.NL, in.Reference)
-	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(jctx context.Context, j job) core.Outcome {
-		in := kept[j.inst]
-		resp := generate(jctx, models[j.model], prompts[j.inst], j.sample)
-		return e.judgeTranslation(jctx, datasetHuman, in.ID, resp, in.Reference, in.Sigs)
-	}, obs)
-	if err != nil {
-		return nil, err
-	}
-	return e.newGrid(names(models), total, len(kept), n, outs), nil
-}
-
-// NL2SVAHuman evaluates models with greedy decoding (Table 1).
-func (e *Engine) NL2SVAHuman(ctx context.Context, models []llm.Model, obs Observer) ([]core.ModelReport, error) {
-	g, err := e.HumanGrid(ctx, models, false, obs)
-	if err != nil {
-		return nil, err
-	}
-	return g.ModelReports(), nil
-}
-
-// NL2SVAHumanPassK evaluates pass@k with multiple samples (Table 2).
-func (e *Engine) NL2SVAHumanPassK(ctx context.Context, models []llm.Model, ks []int, obs Observer) ([]core.PassKReport, error) {
-	g, err := e.HumanGrid(ctx, models, true, obs)
-	if err != nil {
-		return nil, err
-	}
-	return g.PassKReports(ks), nil
-}
-
-// ---- NL2SVA-Machine -----------------------------------------------------
-
-// MachineGrid evaluates the NL2SVA-Machine grid at a shot count and
-// returns the raw outcome lattice with shard provenance; sampled draws
-// passKSamples per instance, otherwise one greedy sample.
-func (e *Engine) MachineGrid(ctx context.Context, models []llm.Model, shots, count int, sampled bool, obs Observer) (*Grid, error) {
-	kept, total := clip(core.LoadMachine(count), e.cfg)
-	n := 1
-	if sampled {
-		n = e.passKSamples()
-	}
-	prompts := make([]*llm.Prompt, len(kept))
-	for i, in := range kept {
-		prompts[i] = llm.BuildMachinePrompt(in.ID, in.NL, shots, in.Reference)
-	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(jctx context.Context, j job) core.Outcome {
-		in := kept[j.inst]
-		resp := generate(jctx, models[j.model], prompts[j.inst], j.sample)
-		return e.judgeTranslation(jctx, datasetMachine, in.ID, resp, in.Reference, in.Sigs)
-	}, obs)
-	if err != nil {
-		return nil, err
-	}
-	return e.newGrid(names(models), total, len(kept), n, outs), nil
-}
-
-// NL2SVAMachine evaluates the machine benchmark at a shot count
-// (Table 3 columns).
-func (e *Engine) NL2SVAMachine(ctx context.Context, models []llm.Model, shots, count int, obs Observer) ([]core.ModelReport, error) {
-	g, err := e.MachineGrid(ctx, models, shots, count, false, obs)
-	if err != nil {
-		return nil, err
-	}
-	return g.ModelReports(), nil
-}
-
-// NL2SVAMachinePassK evaluates machine pass@k at 3-shot (Table 4).
-func (e *Engine) NL2SVAMachinePassK(ctx context.Context, models []llm.Model, ks []int, count int, obs Observer) ([]core.PassKReport, error) {
-	g, err := e.MachineGrid(ctx, models, 3, count, true, obs)
-	if err != nil {
-		return nil, err
-	}
-	return g.PassKReports(ks), nil
-}
-
-// ---- Design2SVA ---------------------------------------------------------
-
-// DesignGrid evaluates the Design2SVA grid for one design category
-// (always sampled: the paper draws passKSamples per instance) and
-// returns the raw outcome lattice with shard provenance.
-func (e *Engine) DesignGrid(ctx context.Context, models []llm.Model, kind string, obs Observer) (*Grid, error) {
-	kept, total := clip(rtlgen.Sweep96(kind), e.cfg)
-	n := e.passKSamples()
-	prompts := make([]*llm.Prompt, len(kept))
-	for i, inst := range kept {
-		prompts[i] = llm.BuildDesignPrompt(inst)
-	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(jctx context.Context, j job) core.Outcome {
-		inst := kept[j.inst]
-		resp := generate(jctx, models[j.model], prompts[j.inst], j.sample)
-		code := llm.ExtractCode(resp)
-		c := e.judgeDesignMemo(jctx, kind, inst, code)
-		return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Full: c.proven}
-	}, obs)
-	if err != nil {
-		return nil, err
-	}
-	return e.newGrid(names(models), total, len(kept), n, outs), nil
-}
-
-// Design2SVA evaluates models on a design category with n samples per
-// instance (Table 5 halves). Outcome.Full carries "proven".
-func (e *Engine) Design2SVA(ctx context.Context, models []llm.Model, kind string, obs Observer) ([]core.DesignReport, error) {
-	return e.design2SVA(ctx, models, kind, []int{1, 5}, obs)
-}
-
-// Design2SVAKs is Design2SVA with a caller-chosen pass@k set.
-func (e *Engine) Design2SVAKs(ctx context.Context, models []llm.Model, kind string, ks []int, obs Observer) ([]core.DesignReport, error) {
-	return e.design2SVA(ctx, models, kind, ks, obs)
-}
-
-func (e *Engine) design2SVA(ctx context.Context, models []llm.Model, kind string, ks []int, obs Observer) ([]core.DesignReport, error) {
-	g, err := e.DesignGrid(ctx, models, kind, obs)
-	if err != nil {
-		return nil, err
-	}
-	return g.DesignReports(kind, ks), nil
-}
-
-// judgeDesignMemo memoizes core.JudgeDesign per (kind, instance,
-// snippet). Duplicate computation under contention is possible but
-// harmless: the judgment is deterministic.
-func (e *Engine) judgeDesignMemo(ctx context.Context, kind string, inst *rtlgen.Instance, code string) designCell {
-	st := e.st
-	if st.designMemo == nil {
-		syn, prov := core.JudgeDesign(inst, code, e.mcOptions(ctx))
-		return designCell{syntax: syn, proven: prov}
-	}
-	key := kind + "\x00" + inst.ID + "\x00" + code
-	st.designMu.Lock()
-	c, ok := st.designMemo[key]
-	st.designMu.Unlock()
-	if ok {
-		obs.SpanFrom(ctx).SetBool("memo_hit", true)
-		return c
-	}
-	syn, prov := core.JudgeDesign(inst, code, e.mcOptions(ctx))
-	c = designCell{syntax: syn, proven: prov}
-	st.designMu.Lock()
-	st.designMemo[key] = c
-	st.designMu.Unlock()
-	return c
-}
-
-// ---- one-shot conveniences ----------------------------------------------
-
-// RunNL2SVAHuman runs Table 1's evaluation on a fresh engine.
-func RunNL2SVAHuman(models []llm.Model, cfg Config) ([]core.ModelReport, error) {
-	return New(cfg).NL2SVAHuman(context.Background(), models, nil)
-}
-
-// RunNL2SVAHumanPassK runs Table 2's evaluation on a fresh engine.
-func RunNL2SVAHumanPassK(models []llm.Model, ks []int, cfg Config) ([]core.PassKReport, error) {
-	return New(cfg).NL2SVAHumanPassK(context.Background(), models, ks, nil)
-}
-
-// RunNL2SVAMachine runs one shot-setting of Table 3 on a fresh engine.
-func RunNL2SVAMachine(models []llm.Model, shots, count int, cfg Config) ([]core.ModelReport, error) {
-	return New(cfg).NL2SVAMachine(context.Background(), models, shots, count, nil)
-}
-
-// RunNL2SVAMachinePassK runs Table 4's evaluation on a fresh engine.
-func RunNL2SVAMachinePassK(models []llm.Model, ks []int, count int, cfg Config) ([]core.PassKReport, error) {
-	return New(cfg).NL2SVAMachinePassK(context.Background(), models, ks, count, nil)
-}
-
-// RunDesign2SVA runs one category half of Table 5 on a fresh engine.
-func RunDesign2SVA(models []llm.Model, kind string, cfg Config) ([]core.DesignReport, error) {
-	return New(cfg).Design2SVA(context.Background(), models, kind, nil)
-}
-
-// Figure6 runs the NL2SVA-Human evaluation and renders the BLEU-vs-
-// functional-correctness correlation analysis.
-func (e *Engine) Figure6(ctx context.Context, models []llm.Model, obs Observer) (string, error) {
-	reports, err := e.NL2SVAHuman(ctx, models, obs)
-	if err != nil {
-		return "", err
-	}
-	return core.Figure6(reports), nil
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -12,12 +14,19 @@ import (
 	"fveval/internal/llm"
 )
 
-func TestRunHumanSmall(t *testing.T) {
-	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3-8b")}
-	reports, err := RunNL2SVAHuman(models, Config{Limit: 12})
+// run evaluates one family on a fresh engine under cfg.
+func run(t *testing.T, cfg Config, f Family, models []llm.Model) *Grid {
+	t.Helper()
+	g, err := New(cfg).Run(context.Background(), f, models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+func TestRunHumanSmall(t *testing.T) {
+	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3-8b")}
+	reports := run(t, Config{Limit: 12}, Human(false), models).ModelReports()
 	if len(reports) != 2 {
 		t.Fatalf("reports: %d", len(reports))
 	}
@@ -45,14 +54,8 @@ func TestRunHumanSmall(t *testing.T) {
 
 func TestRunMachineSmallBothShots(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gemini-1.5-pro")}
-	zero, err := RunNL2SVAMachine(models, 0, 20, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	three, err := RunNL2SVAMachine(models, 3, 20, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	zero := run(t, Config{}, Machine(0, 20, false), models).ModelReports()
+	three := run(t, Config{}, Machine(3, 20, false), models).ModelReports()
 	// gemini-1.5-pro has the paper's dramatic 0-shot -> 3-shot syntax
 	// jump (0.467 -> 0.880); with only 20 instances allow wide noise
 	// but demand an improvement.
@@ -68,10 +71,7 @@ func TestRunMachineSmallBothShots(t *testing.T) {
 
 func TestPassKImprovesOverPass1(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	reports, err := RunNL2SVAHumanPassK(models, []int{1, 3, 5}, Config{Limit: 15, Samples: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := run(t, Config{Limit: 15, Samples: 5}, Human(true), models).PassKReports([]int{1, 3, 5})
 	r := reports[0]
 	if r.FuncK[5] < r.FuncK[1] {
 		t.Errorf("func@5 (%f) must be >= func@1 (%f)", r.FuncK[5], r.FuncK[1])
@@ -86,10 +86,7 @@ func TestPassKImprovesOverPass1(t *testing.T) {
 
 func TestRunDesignSmall(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	reports, err := RunDesign2SVA(models, "fsm", Config{Limit: 4, Samples: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := run(t, Config{Limit: 4, Samples: 3}, Design("fsm"), models).DesignReports("fsm", []int{1, 5})
 	r := reports[0]
 	if r.SyntaxK[5] < r.SyntaxK[1] || r.FuncK[5] < r.FuncK[1] {
 		t.Fatalf("pass@5 must dominate pass@1: %+v", r)
@@ -106,25 +103,11 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	render := func(workers int) string {
 		cfg := Config{Limit: 10, Samples: 3, Workers: workers}
 		var b strings.Builder
-		t1, err := RunNL2SVAHuman(models, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		t1 := run(t, cfg, Human(false), models).ModelReports()
 		b.WriteString(core.FormatTable1(t1))
-		t2, err := RunNL2SVAHumanPassK(models, []int{1, 3, 5}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.WriteString(core.FormatTable2(t2))
-		t4, err := RunNL2SVAMachinePassK(models, []int{1, 3, 5}, 20, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.WriteString(core.FormatTable4(t4))
-		t5, err := RunDesign2SVA(models, "fsm", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b.WriteString(core.FormatTable2(run(t, cfg, Human(true), models).PassKReports([]int{1, 3, 5})))
+		b.WriteString(core.FormatTable4(run(t, cfg, Machine(3, 20, true), models).PassKReports([]int{1, 3, 5})))
+		t5 := run(t, cfg, Design("fsm"), models).DesignReports("fsm", []int{1, 5})
 		b.WriteString(core.FormatTable5(t5, t5))
 		b.WriteString(core.Figure6(t1))
 		return b.String()
@@ -141,31 +124,25 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 // equality, outcome by outcome, on the machine dataset.
 func TestCacheDoesNotChangeVerdicts(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("gemini-1.5-flash")}
-	cached, err := RunNL2SVAMachinePassK(models, []int{1, 5}, 15, Config{Samples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached, err := RunNL2SVAMachinePassK(models, []int{1, 5}, 15, Config{Samples: 4, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cached := run(t, Config{Samples: 4}, Machine(3, 15, true), models).PassKReports([]int{1, 5})
+	uncached := run(t, Config{Samples: 4, NoCache: true}, Machine(3, 15, true), models).PassKReports([]int{1, 5})
 	if got, want := core.FormatTable4(cached), core.FormatTable4(uncached); got != want {
 		t.Fatalf("cache changed the table:\n--- cached ---\n%s\n--- uncached ---\n%s", got, want)
 	}
 	// outcome-level equality on the greedy flow too
 	ec := New(Config{Limit: 20})
 	eu := New(Config{Limit: 20, NoCache: true})
-	rc, err := ec.NL2SVAMachine(context.Background(), models, 3, 20, nil)
+	rc, err := ec.Run(context.Background(), Machine(3, 20, false), models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ru, err := eu.NL2SVAMachine(context.Background(), models, 3, 20, nil)
+	ru, err := eu.Run(context.Background(), Machine(3, 20, false), models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m := range rc {
-		for i := range rc[m].Outcomes {
-			c, u := rc[m].Outcomes[i], ru[m].Outcomes[i]
+	for m := range rc.Outcomes {
+		for i := range rc.Outcomes[m] {
+			c, u := rc.Outcomes[m][i], ru.Outcomes[m][i]
 			if c != u {
 				t.Fatalf("outcome %d diverged: cached %+v uncached %+v", i, c, u)
 			}
@@ -184,7 +161,7 @@ func TestCacheDoesNotChangeVerdicts(t *testing.T) {
 func TestCacheHitsOnPassK(t *testing.T) {
 	e := New(Config{Limit: 10, Samples: 5})
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3.1-70b")}
-	if _, err := e.NL2SVAMachinePassK(context.Background(), models, []int{1, 5}, 10, nil); err != nil {
+	if _, err := e.Run(context.Background(), Machine(3, 10, true), models, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := e.CacheStats()
@@ -201,22 +178,16 @@ func TestCacheHitsOnPassK(t *testing.T) {
 // the instances they own.
 func TestShardsPartitionInstances(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	full, err := RunNL2SVAHuman(models, Config{Limit: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := run(t, Config{Limit: 12}, Human(false), models)
 	byID := map[string]core.Outcome{}
-	for _, o := range full[0].Outcomes {
+	for _, o := range full.Outcomes[0] {
 		byID[o.InstanceID] = o
 	}
 	seen := map[string]bool{}
 	const n = 3
 	for i := 0; i < n; i++ {
-		part, err := RunNL2SVAHuman(models, Config{Limit: 12, Shard: Shard{Index: i, Count: n}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range part[0].Outcomes {
+		part := run(t, Config{Limit: 12, Shard: Shard{Index: i, Count: n}}, Human(false), models)
+		for _, o := range part.Outcomes[0] {
 			if seen[o.InstanceID] {
 				t.Fatalf("instance %s appears in two shards", o.InstanceID)
 			}
@@ -251,11 +222,8 @@ func TestShardValidate(t *testing.T) {
 }
 
 func TestEngineFigure6(t *testing.T) {
-	e := New(Config{Limit: 10})
-	out, err := e.Figure6(context.Background(), []llm.Model{llm.ModelByName("gpt-4o")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := run(t, Config{Limit: 10}, Human(false), []llm.Model{llm.ModelByName("gpt-4o")})
+	out := core.Figure6(g.ModelReports())
 	if !strings.Contains(out, "corr(BLEU, Func)") {
 		t.Fatalf("figure 6 malformed:\n%s", out)
 	}
@@ -305,7 +273,7 @@ func TestObserverStreamsEveryJob(t *testing.T) {
 	e := New(Config{Limit: 6, Samples: 2, Workers: 4})
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3-8b")}
 	var events []Progress
-	_, err := e.NL2SVAHumanPassK(context.Background(), models, []int{1, 2}, func(p Progress) {
+	_, err := e.Run(context.Background(), Human(true), models, func(p Progress) {
 		events = append(events, p)
 	})
 	if err != nil {
@@ -333,14 +301,14 @@ func TestCancellationStopsRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.NL2SVAHuman(ctx, models, nil); !errors.Is(err, context.Canceled) {
+	if _, err := e.Run(ctx, Human(false), models, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run returned %v, want context.Canceled", err)
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	var seen atomic.Int64
-	_, err := e.NL2SVAHumanPassK(ctx, models, []int{1}, func(p Progress) {
+	_, err := e.Run(ctx, Human(true), models, func(p Progress) {
 		if seen.Add(1) == 2 {
 			cancel()
 		}
@@ -359,7 +327,7 @@ func TestCancellationStopsRun(t *testing.T) {
 func TestReconfigureSharesCache(t *testing.T) {
 	base := New(Config{Limit: 8})
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	if _, err := base.NL2SVAHuman(context.Background(), models, nil); err != nil {
+	if _, err := base.Run(context.Background(), Human(false), models, nil); err != nil {
 		t.Fatal(err)
 	}
 	warm := base.CacheStats()
@@ -374,7 +342,7 @@ func TestReconfigureSharesCache(t *testing.T) {
 	if derived.st != base.st {
 		t.Fatalf("derived engine did not share the memo pool")
 	}
-	if _, err := derived.NL2SVAHuman(context.Background(), models, nil); err != nil {
+	if _, err := derived.Run(context.Background(), Human(false), models, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The shared judgment memo absorbs the duplicate workload before it
@@ -398,6 +366,56 @@ func TestReconfigureSharesCache(t *testing.T) {
 	}
 }
 
+// TestMemoCoversMCFamilies checks the judgment memo on the
+// model-checking families: rerunning design2sva (both kinds) or agr on
+// one engine must answer every judgment from the memo — zero new
+// formal queries, identical grids — while a NoCache engine repeats
+// every query.
+func TestMemoCoversMCFamilies(t *testing.T) {
+	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3.1-70b")}
+	cases := []struct {
+		name     string
+		families []Family
+	}{
+		{"design2sva", []Family{Design("pipeline"), Design("fsm")}},
+		{"agr", []Family{Helper()}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, noCache := range []bool{false, true} {
+				e := New(Config{Limit: 3, Samples: 2, Workers: 2, NoCache: noCache})
+				pass := func() ([]byte, int64) {
+					before := e.FormalStats().Queries
+					var out []byte
+					for _, f := range c.families {
+						g, err := e.Run(context.Background(), f, models, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						data, err := json.Marshal(g)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out = append(out, data...)
+					}
+					return out, e.FormalStats().Queries - before
+				}
+				first, q1 := pass()
+				second, q2 := pass()
+				if q1 == 0 {
+					t.Fatalf("NoCache=%v: first run issued no formal queries; the check is vacuous", noCache)
+				}
+				if !bytes.Equal(first, second) {
+					t.Fatalf("NoCache=%v: second run's grids differ from the first", noCache)
+				}
+				if want := map[bool]int64{false: 0, true: q1}[noCache]; q2 != want {
+					t.Fatalf("NoCache=%v: second run issued %d formal queries, want %d", noCache, q2, want)
+				}
+			}
+		})
+	}
+}
+
 // TestEngineJobFaultFailsRun drives the engine.job injection point: a
 // fired fault aborts the grid through the cancel cause, so the caller
 // sees the injected error — not a bare context.Canceled that would
@@ -410,7 +428,7 @@ func TestEngineJobFaultFailsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(Config{Limit: 12, Workers: 2})
-	_, err := e.NL2SVAHuman(context.Background(), []llm.Model{llm.ModelByName("gpt-4o")}, nil)
+	_, err := e.Run(context.Background(), Human(false), []llm.Model{llm.ModelByName("gpt-4o")}, nil)
 	if err == nil || !strings.Contains(err.Error(), fault.EngineJob) {
 		t.Fatalf("injected engine.job fault returned %v, want the injected cause", err)
 	}

@@ -23,10 +23,7 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 	}
 	var tables []string
 	for _, cfg := range variants {
-		reports, err := RunNL2SVAMachinePassK(models, []int{1, 3}, 12, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		reports := run(t, cfg, Machine(3, 12, true), models).PassKReports([]int{1, 3})
 		tables = append(tables, core.FormatTable4(reports))
 	}
 	for i := 1; i < len(tables); i++ {
@@ -41,40 +38,41 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 	ctx := context.Background()
 	eOn := New(Config{Limit: 12})
 	eOff := New(Config{Limit: 12, NoSim: true})
-	on, err := eOn.NL2SVAMachine(ctx, models, 0, 12, nil)
+	on, err := eOn.Run(ctx, Machine(0, 12, false), models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := eOff.NL2SVAMachine(ctx, models, 0, 12, nil)
+	off, err := eOff.Run(ctx, Machine(0, 12, false), models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m := range on {
-		for i := range on[m].Outcomes {
-			if on[m].Outcomes[i] != off[m].Outcomes[i] {
+	for m := range on.Outcomes {
+		for i := range on.Outcomes[m] {
+			if on.Outcomes[m][i] != off.Outcomes[m][i] {
 				t.Fatalf("outcome %d diverged: prefilter %+v pure-SAT %+v",
-					i, on[m].Outcomes[i], off[m].Outcomes[i])
+					i, on.Outcomes[m][i], off.Outcomes[m][i])
 			}
 		}
 	}
-	if eOn.SimStats().Patterns == 0 {
+	if eOn.FormalStats().Sim.Patterns == 0 {
 		t.Fatal("prefilter engine simulated nothing; the comparison is vacuous")
 	}
-	if eOff.SimStats().Patterns != 0 {
-		t.Fatalf("NoSim engine still simulated: %+v", eOff.SimStats())
+	if sim := eOff.FormalStats().Sim; sim.Patterns != 0 {
+		t.Fatalf("NoSim engine still simulated: %+v", sim)
 	}
 
 	dOn := New(Config{Limit: 2, Samples: 2})
 	dOff := New(Config{Limit: 2, Samples: 2, NoSim: true})
 	designModels := llm.DesignModels()[:2]
-	ron, err := dOn.Design2SVA(ctx, designModels, "fsm", nil)
+	gon, err := dOn.Run(ctx, Design("fsm"), designModels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	roff, err := dOff.Design2SVA(ctx, designModels, "fsm", nil)
+	goff, err := dOff.Run(ctx, Design("fsm"), designModels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ron, roff := gon.DesignReports("fsm", []int{1, 5}), goff.DesignReports("fsm", []int{1, 5})
 	if got, want := core.FormatTable5(nil, ron), core.FormatTable5(nil, roff); got != want {
 		t.Fatalf("prefilter changed the design table:\n--- on ---\n%s\n--- off ---\n%s", got, want)
 	}

@@ -212,11 +212,14 @@ func (e *Engine) execute(ctx context.Context, spec *Spec, p Params, eng *engine.
 	cache0, formal0, rounds0 := eng.CacheStats(), eng.FormalStats(), eng.RefineRounds()
 	start := time.Now()
 	var groups []GridGroup
-	if spec.run != nil {
-		var err error
-		groups, err = spec.run(ctx, eng, p, observer)
-		if err != nil {
-			return nil, Stats{}, err
+	if spec.grids != nil {
+		models := resolveModels(p.Models)
+		for _, fg := range spec.grids(p) {
+			g, err := eng.Run(ctx, fg.family, models, observer(fg.name))
+			if err != nil {
+				return nil, Stats{}, err
+			}
+			groups = append(groups, GridGroup{Name: fg.name, Grid: g})
 		}
 	}
 	cache1, formal1 := eng.CacheStats(), eng.FormalStats()

@@ -4,15 +4,13 @@
 // plus parameter overrides, and an Engine whose single Run entry
 // point executes any registered task and returns one unified Report.
 //
-// The registry replaces the old grid of per-table entry points
-// (RunNL2SVAHuman, RunNL2SVAMachinePassK, ...): a new workload is a
-// new Spec, not a new exported function, and everything registered is
-// automatically reachable from the CLI (-task/-list), the facade
-// (fveval.Run), and the HTTP service (cmd/fvevald).
+// A new workload is a new Spec, not a new exported function, and
+// everything registered is automatically reachable from the CLI
+// (-task/-list), the facade (fveval.Run), and the HTTP service
+// (cmd/fvevald).
 package task
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -96,12 +94,13 @@ type GridGroup struct {
 	Grid *engine.Grid `json:"grid"`
 }
 
-// runFunc evaluates one task's grids: it receives the engine, the
-// resolved parameters, and an observer factory keyed by group name
-// (multi-part tasks run one grid per group), and returns the raw
-// outcome lattice per group. nil for grid-less tasks (static datasets
-// and pre-rendered figures), which only have a text renderer.
-type runFunc func(ctx context.Context, eng *engine.Engine, p Params, obs func(group string) engine.Observer) ([]GridGroup, error)
+// familyGroup is one evaluation grid of a task: the group name
+// ("0-shot", "pipeline", ...; empty for single-setting tasks) and the
+// task family evaluated under it.
+type familyGroup struct {
+	name   string
+	family engine.Family
+}
 
 // textFunc renders a task's textual artifact from the resolved
 // parameters and the aggregated report groups (empty for grid-less
@@ -126,15 +125,19 @@ type Spec struct {
 	// Defaults are the paper's parameters for this task.
 	Defaults Params `json:"defaults"`
 
-	run  runFunc
-	text textFunc
+	// grids lists the task's evaluation grids for the resolved
+	// parameters, in report order. nil for grid-less tasks (static
+	// datasets and pre-rendered figures), which only have a text
+	// renderer.
+	grids func(p Params) []familyGroup
+	text  textFunc
 }
 
 // Shardable reports whether the task evaluates a model grid, i.e.
 // whether splitting its instance axis across workers does any good.
 // Grid-less tasks (static tables, pre-rendered figures) run whole on
 // a single worker.
-func (s Spec) Shardable() bool { return s.run != nil }
+func (s Spec) Shardable() bool { return s.grids != nil }
 
 func (s *Spec) accepts(field string) bool {
 	for _, f := range s.Accepts {
@@ -306,14 +309,6 @@ func ByFigure(n int) (*Spec, error) {
 	return nil, fmt.Errorf("task: no task reproduces figure %d", n)
 }
 
-// singleGrid wraps one unnamed grid as the task's only group.
-func singleGrid(g *engine.Grid, err error) ([]GridGroup, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []GridGroup{{Grid: g}}, nil
-}
-
 func buildRegistry() []*Spec {
 	return []*Spec{
 		{
@@ -323,9 +318,7 @@ func buildRegistry() []*Spec {
 			Kind:     KindGreedy,
 			Accepts:  []string{"models"},
 			Defaults: Params{Models: modelNames(llm.Models())},
-			run: func(ctx context.Context, eng *engine.Engine, p Params, obs func(string) engine.Observer) ([]GridGroup, error) {
-				return singleGrid(eng.HumanGrid(ctx, resolveModels(p.Models), false, obs("")))
-			},
+			grids:    func(p Params) []familyGroup { return []familyGroup{{"", engine.Human(false)}} },
 		},
 		{
 			Name:     "nl2sva-human-passk",
@@ -334,9 +327,7 @@ func buildRegistry() []*Spec {
 			Kind:     KindPassK,
 			Accepts:  []string{"models", "ks"},
 			Defaults: Params{Models: passKFleet(), Ks: []int{1, 3, 5}},
-			run: func(ctx context.Context, eng *engine.Engine, p Params, obs func(string) engine.Observer) ([]GridGroup, error) {
-				return singleGrid(eng.HumanGrid(ctx, resolveModels(p.Models), true, obs("")))
-			},
+			grids:    func(p Params) []familyGroup { return []familyGroup{{"", engine.Human(true)}} },
 		},
 		{
 			Name:     "nl2sva-machine",
@@ -345,17 +336,11 @@ func buildRegistry() []*Spec {
 			Kind:     KindShots,
 			Accepts:  []string{"models", "shots", "count"},
 			Defaults: Params{Models: modelNames(llm.Models()), Shots: []int{0, 3}, Count: 300},
-			run: func(ctx context.Context, eng *engine.Engine, p Params, obs func(string) engine.Observer) ([]GridGroup, error) {
-				var groups []GridGroup
+			grids: func(p Params) (gs []familyGroup) {
 				for _, sh := range p.Shots {
-					name := fmt.Sprintf("%d-shot", sh)
-					g, err := eng.MachineGrid(ctx, resolveModels(p.Models), sh, p.Count, false, obs(name))
-					if err != nil {
-						return nil, err
-					}
-					groups = append(groups, GridGroup{Name: name, Grid: g})
+					gs = append(gs, familyGroup{fmt.Sprintf("%d-shot", sh), engine.Machine(sh, p.Count, false)})
 				}
-				return groups, nil
+				return gs
 			},
 		},
 		{
@@ -365,9 +350,7 @@ func buildRegistry() []*Spec {
 			Kind:     KindPassK,
 			Accepts:  []string{"models", "ks", "count"},
 			Defaults: Params{Models: passKFleet(), Ks: []int{1, 3, 5}, Count: 300},
-			run: func(ctx context.Context, eng *engine.Engine, p Params, obs func(string) engine.Observer) ([]GridGroup, error) {
-				return singleGrid(eng.MachineGrid(ctx, resolveModels(p.Models), 3, p.Count, true, obs("")))
-			},
+			grids:    func(p Params) []familyGroup { return []familyGroup{{"", engine.Machine(3, p.Count, true)}} },
 		},
 		{
 			Name:     "design2sva",
@@ -376,16 +359,11 @@ func buildRegistry() []*Spec {
 			Kind:     KindDesign,
 			Accepts:  []string{"models", "ks", "kinds"},
 			Defaults: Params{Models: modelNames(llm.DesignModels()), Ks: []int{1, 5}, Kinds: []string{"pipeline", "fsm"}},
-			run: func(ctx context.Context, eng *engine.Engine, p Params, obs func(string) engine.Observer) ([]GridGroup, error) {
-				var groups []GridGroup
+			grids: func(p Params) (gs []familyGroup) {
 				for _, kind := range p.Kinds {
-					g, err := eng.DesignGrid(ctx, resolveModels(p.Models), kind, obs(kind))
-					if err != nil {
-						return nil, err
-					}
-					groups = append(groups, GridGroup{Name: kind, Grid: g})
+					gs = append(gs, familyGroup{kind, engine.Design(kind)})
 				}
-				return groups, nil
+				return gs
 			},
 		},
 		{
@@ -394,10 +372,8 @@ func buildRegistry() []*Spec {
 			Kind:     KindPassK,
 			Accepts:  []string{"models", "ks"},
 			Defaults: Params{Models: passKFleet(), Ks: []int{1, 3, 5}},
-			run: func(ctx context.Context, eng *engine.Engine, p Params, obs func(string) engine.Observer) ([]GridGroup, error) {
-				return singleGrid(eng.HelperGrid(ctx, resolveModels(p.Models), obs("")))
-			},
-			text: renderTableAGR,
+			grids:    func(p Params) []familyGroup { return []familyGroup{{"", engine.Helper()}} },
+			text:     renderTableAGR,
 		},
 		{
 			Name:     "refinement",
@@ -405,17 +381,11 @@ func buildRegistry() []*Spec {
 			Kind:     KindPassK,
 			Accepts:  []string{"models", "ks", "count", "rounds"},
 			Defaults: Params{Models: passKFleet(), Ks: []int{1, 5}, Count: 60, Rounds: []int{0, 1, 2}},
-			run: func(ctx context.Context, eng *engine.Engine, p Params, obs func(string) engine.Observer) ([]GridGroup, error) {
-				var groups []GridGroup
+			grids: func(p Params) (gs []familyGroup) {
 				for _, r := range p.Rounds {
-					name := fmt.Sprintf("round=%d", r)
-					g, err := eng.RefinementGrid(ctx, resolveModels(p.Models), r, p.Count, obs(name))
-					if err != nil {
-						return nil, err
-					}
-					groups = append(groups, GridGroup{Name: name, Grid: g})
+					gs = append(gs, familyGroup{fmt.Sprintf("round=%d", r), engine.Refinement(r, p.Count)})
 				}
-				return groups, nil
+				return gs
 			},
 			text: renderFigureR,
 		},
@@ -464,9 +434,7 @@ func buildRegistry() []*Spec {
 			Kind:     KindFigure,
 			Accepts:  []string{"models"},
 			Defaults: Params{Models: []string{"gpt-4o", "llama-3.1-70b"}},
-			run: func(ctx context.Context, eng *engine.Engine, p Params, obs func(string) engine.Observer) ([]GridGroup, error) {
-				return singleGrid(eng.HumanGrid(ctx, resolveModels(p.Models), false, obs("")))
-			},
+			grids:    func(p Params) []familyGroup { return []familyGroup{{"", engine.Human(false)}} },
 			text: func(p Params, groups []Group) (string, error) {
 				var reports []core.ModelReport
 				if len(groups) > 0 {

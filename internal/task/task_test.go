@@ -28,7 +28,7 @@ func TestRegistryCoversTablesAndFigures(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, s := range specs {
-		if s.Name == "" || s.Title == "" || s.Kind == "" || (s.run == nil && s.text == nil) {
+		if s.Name == "" || s.Title == "" || s.Kind == "" || (s.grids == nil && s.text == nil) {
 			t.Errorf("incomplete spec %+v", s)
 		}
 		if seen[s.Name] {
@@ -153,101 +153,30 @@ func TestMultiGroupTasks(t *testing.T) {
 	}
 }
 
-// TestRenderMatchesLegacyEntryPoints demands byte-identical table
-// output between registry runs and the pre-redesign per-table entry
-// points, for every table and figure.
-func TestRenderMatchesLegacyEntryPoints(t *testing.T) {
-	ctx := context.Background()
-	cfg := engine.Config{Limit: 4, Samples: 2, Workers: 2}
-	e := NewEngine(cfg)
-	models := []string{"gpt-4o", "llama-3.1-70b"}
-	fleet := resolveModels(models)
-
-	runTask := func(name string, p Params) string {
-		t.Helper()
-		run, err := e.Run(ctx, Request{Task: name, Params: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return run.Report.Render()
-	}
-
-	// Table 1
-	legacy1, err := engine.RunNL2SVAHuman(fleet, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := runTask("nl2sva-human", Params{Models: models}), core.FormatTable1(legacy1); got != want {
-		t.Errorf("table 1 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-
-	// Table 2
-	legacy2, err := engine.RunNL2SVAHumanPassK(fleet, []int{1, 3, 5}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := runTask("nl2sva-human-passk", Params{Models: models}), core.FormatTable2(legacy2); got != want {
-		t.Errorf("table 2 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-
-	// Table 3
-	zero, err := engine.RunNL2SVAMachine(fleet, 0, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	three, err := engine.RunNL2SVAMachine(fleet, 3, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := runTask("nl2sva-machine", Params{Models: models, Count: 8}), core.FormatTable3(zero, three); got != want {
-		t.Errorf("table 3 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-
-	// Table 4
-	legacy4, err := engine.RunNL2SVAMachinePassK(fleet, []int{1, 3, 5}, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := runTask("nl2sva-machine-passk", Params{Models: models, Count: 8}), core.FormatTable4(legacy4); got != want {
-		t.Errorf("table 4 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-
-	// Table 5
-	pipe, err := engine.RunDesign2SVA(fleet, "pipeline", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsm, err := engine.RunDesign2SVA(fleet, "fsm", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := runTask("design2sva", Params{Models: models}), core.FormatTable5(pipe, fsm); got != want {
-		t.Errorf("table 5 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-
-	// Table 6 and the figures
-	if got, want := runTask("dataset-stats", Params{}), core.FormatTable6(); got != want {
-		t.Errorf("table 6 diverged")
-	}
+// TestStaticFiguresRender checks that the grid-less figure tasks
+// render exactly their core renderers' text.
+func TestStaticFiguresRender(t *testing.T) {
+	e := NewEngine(engine.Config{})
 	fig2, err := core.Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runTask("human-token-lengths", Params{}); got != fig2 {
-		t.Errorf("figure 2 diverged")
-	}
-	if got, want := runTask("machine-token-lengths", Params{Count: 30}), core.Figure3(30); got != want {
-		t.Errorf("figure 3 diverged")
-	}
-	if got, want := runTask("design-token-lengths", Params{}), core.Figure4(); got != want {
-		t.Errorf("figure 4 diverged")
-	}
-	legacyFig6, err := engine.New(cfg).Figure6(ctx, resolveModels([]string{"gpt-4o"}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runTask("bleu-correlation", Params{Models: []string{"gpt-4o"}}); got != legacyFig6 {
-		t.Errorf("figure 6 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, legacyFig6)
+	for _, c := range []struct {
+		task   string
+		params Params
+		want   string
+	}{
+		{"human-token-lengths", Params{}, fig2},
+		{"machine-token-lengths", Params{Count: 30}, core.Figure3(30)},
+		{"design-token-lengths", Params{}, core.Figure4()},
+	} {
+		run, err := e.Run(context.Background(), Request{Task: c.task, Params: c.params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run.Report.Render(); got != c.want {
+			t.Errorf("%s diverged from its core renderer:\n%s", c.task, got)
+		}
 	}
 }
 
