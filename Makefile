@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay identical.
 GO ?= go
 
-.PHONY: build test service-smoke cluster-smoke chaos-smoke bench lint ci
+.PHONY: build test service-smoke cluster-smoke chaos-smoke perfbench-selftest bench lint ci
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,13 @@ cluster-smoke:
 chaos-smoke:
 	./scripts/chaos_smoke.sh
 
+# perfbench-selftest vets the benchmark of record (perfbench/, its own
+# Go module, which the root build/vet/test never compile) and runs its
+# end-to-end self-test.
+perfbench-selftest:
+	cd perfbench && $(GO) vet ./...
+	bash perfbench/run.sh --selftest
+
 # bench regenerates every table/figure once and refreshes the
 # BENCH_tables.json perf-trajectory artifact (benchmark -> ns/op plus
 # schema-v4 metrics such as the prefilter hit rate, with the prior run
@@ -61,4 +68,4 @@ lint:
 	fi
 	$(GO) vet ./...
 
-ci: build lint test service-smoke cluster-smoke chaos-smoke bench
+ci: build lint test service-smoke cluster-smoke chaos-smoke perfbench-selftest bench

@@ -55,7 +55,7 @@ func main() {
 	samples := flag.Int("samples", 5, "samples per instance for pass@k runs")
 	workers := flag.Int("workers", 0, "evaluation parallelism (0 = GOMAXPROCS)")
 	shard := flag.String("shard", "", "evaluate one instance slice, as i/n (e.g. 0/4), and emit mergeable partial-report JSON; combine n processes to cover a run")
-	cache := flag.Bool("cache", true, "memoize formal equivalence checks across the run")
+	cache := flag.Bool("cache", true, "memoize formal equivalence checks and every judgment memo across the run")
 	maxBound := flag.Int("maxbound", 0, "cap for the formal backend's bound ramp: lasso bound for equivalence, BMC depth for model checking (0 = defaults, 16 each)")
 	budget := flag.Int64("budget", 0, "SAT conflict budget per formal query (0 = default 200000)")
 	simPatterns := flag.Int("simpatterns", 128, "bit-parallel simulation patterns the refute-before-solve prefilter evaluates per formal query (rounded up to 64-lane rounds; 0 disables the prefilter)")

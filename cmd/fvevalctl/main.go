@@ -171,7 +171,7 @@ func runFlags(c *runConfig) *flag.FlagSet {
 	fs.IntVar(&c.count, "count", 0, "NL2SVA-Machine dataset size (0 = task default)")
 	fs.IntVar(&c.samples, "samples", 0, "samples per instance for pass@k runs (0 = paper default)")
 	fs.IntVar(&c.parallel, "j", 0, "per-worker evaluation parallelism (0 = worker default)")
-	fs.BoolVar(&c.cache, "cache", true, "memoize formal equivalence checks within each worker")
+	fs.BoolVar(&c.cache, "cache", true, "memoize formal equivalence checks and every judgment memo within each worker")
 	fs.IntVar(&c.maxBound, "maxbound", 0, "cap for the formal backend's bound ramp (0 = defaults)")
 	fs.Int64Var(&c.budget, "budget", 0, "SAT conflict budget per formal query (0 = default)")
 	return fs

@@ -77,7 +77,7 @@ type Report = task.Report
 type Result = task.Run
 
 // Engine executes registry tasks over one shared memo pool
-// (equivalence cache, judgment memos, formal counters); reuse one
+// (equivalence cache, judgment memo, formal counters); reuse one
 // engine across runs to share the pool. Engine.RunPartial evaluates
 // one shard of a distributed run (see Options.Shard and Partial).
 type Engine = task.Engine

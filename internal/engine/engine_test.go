@@ -408,7 +408,11 @@ func TestMemoCoversMCFamilies(t *testing.T) {
 				if !bytes.Equal(first, second) {
 					t.Fatalf("NoCache=%v: second run's grids differ from the first", noCache)
 				}
-				if want := map[bool]int64{false: 0, true: q1}[noCache]; q2 != want {
+				want := int64(0)
+				if noCache {
+					want = q1
+				}
+				if q2 != want {
 					t.Fatalf("NoCache=%v: second run issued %d formal queries, want %d", noCache, q2, want)
 				}
 			}
