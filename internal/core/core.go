@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -200,17 +201,19 @@ func LoadMachine(count int) []*MachineInstance {
 	return out
 }
 
-// ResetMemos clears the process-wide judgment memos (reference BLEU
-// tokens, candidate parses, design parses). Benchmarks call it so
-// each table measures a cold run — and so one benchmark's retained
-// ASTs don't inflate the next one's GC mark phase; a long-lived
-// service may call it to shed memory.
+// ResetMemos clears the process-wide judgment memos: reference BLEU
+// tokens, candidate assertion parses, Design2SVA instance parses and
+// AGR instance systems. Benchmarks call it so each table measures a
+// cold run — and so one benchmark's retained ASTs don't inflate the
+// next one's GC mark phase; a long-lived service may call it to shed
+// memory.
 func ResetMemos() {
 	refBLEU.Clear()
 	refBLEUSize.Store(0)
 	candParses.Clear()
 	candParsesSize.Store(0)
-	designParses.Clear()
+	benchFiles.clear()
+	helperSystems.clear()
 }
 
 // refBLEU memoizes each reference assertion's rendered source and
@@ -306,39 +309,9 @@ func JudgeTranslation(id, response string, ref *sva.Assertion, sigs *equiv.Sigs,
 // assertion — the paper's Design2SVA evaluation flow. The checker
 // options (budget, depths, stats sink) pass through to
 // mc.CheckAssertion.
-// designParses memoizes the design half of the Design2SVA parse: one
-// design is judged against dozens of candidate snippets, and only the
-// testbench half changes between them. The split parse is taken only
-// when the design carries no preprocessor directives (no backtick), so
-// a design `define can never silently stop reaching the bench.
-var designParses sync.Map // design source -> *rtl.File
-
-func parseDesignBench(design, bench string) (*rtl.File, error) {
-	if !strings.Contains(design, "`") {
-		var df *rtl.File
-		if v, ok := designParses.Load(design); ok {
-			df = v.(*rtl.File)
-		} else if parsed, err := rtl.Parse(design); err == nil {
-			designParses.Store(design, parsed)
-			df = parsed
-		}
-		if df != nil {
-			bf, err := rtl.Parse(bench)
-			if err != nil {
-				return nil, err
-			}
-			f := &rtl.File{Modules: make([]*rtl.Module, 0, len(df.Modules)+len(bf.Modules))}
-			f.Modules = append(append(f.Modules, df.Modules...), bf.Modules...)
-			return f, nil
-		}
-	}
-	return rtl.Parse(design + "\n" + bench)
-}
-
 func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options) (syntaxOK, proven bool) {
 	psp := opt.Span.Child("parse").SetPhase(obs.PhaseParse)
-	merged := insertBeforeEndmodule(inst.Bench, snippet)
-	f, err := parseDesignBench(inst.Design, merged)
+	f, err := parseWithSnippet(inst, snippet)
 	if err != nil {
 		psp.SetBool("ok", false).End()
 		return false, false
@@ -373,6 +346,108 @@ func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options) (syntaxO
 		}
 	}
 	return syntaxOK, proven
+}
+
+// parseWithSnippet returns the parse of the design followed by the
+// bench with the snippet inserted before the bench's last endmodule.
+// The design and bench are parsed once per instance; a snippet that
+// parses on its own as module items is then spliced onto a copy of the
+// bench module's item list, which yields the same AST as parsing the
+// merged text. A snippet with a backtick takes the merged-text parse,
+// since a `define in it can redefine the design's macros, and so does
+// one that fails on its own, since the merged text may still parse (a
+// leading ';' can end the bench's last assertion, an endmodule can
+// close the bench module early).
+func parseWithSnippet(inst *rtlgen.Instance, snippet string) (*rtl.File, error) {
+	key := instanceKey{design: inst.Design, bench: inst.Bench}
+	base := benchFiles.get(key, func() *rtl.File { return parseSpliceBase(inst.Design, inst.Bench) })
+	if base != nil && !strings.Contains(snippet, "`") {
+		if items, err := rtl.ParseItems(snippet); err == nil {
+			mods := slices.Clone(base.Modules)
+			last := *mods[len(mods)-1]
+			last.Items = slices.Concat(last.Items, items)
+			mods[len(mods)-1] = &last
+			return &rtl.File{Modules: mods}, nil
+		}
+	}
+	return rtl.Parse(inst.Design + "\n" + insertBeforeEndmodule(inst.Bench, snippet))
+}
+
+// parseSpliceBase parses the design and bench with an empty snippet.
+// It returns nil, sending every snippet to the merged-text parse, when
+// that parse fails or when anything but whitespace follows the bench's
+// last endmodule: then the file's last module is not the one snippets
+// are inserted into.
+func parseSpliceBase(design, bench string) *rtl.File {
+	idx := strings.LastIndex(bench, "endmodule")
+	if idx < 0 || strings.TrimSpace(bench[idx+len("endmodule"):]) != "" {
+		return nil
+	}
+	f, err := rtl.Parse(design + "\n" + insertBeforeEndmodule(bench, ""))
+	if err != nil {
+		return nil
+	}
+	return f
+}
+
+// instanceKey names one design instance by the texts its parse depends
+// on. AGR keys also carry the target spliced into the bench and the
+// module tops the system is elaborated with.
+type instanceKey struct {
+	design, bench, target string
+	dutTop, benchTop      string
+}
+
+// maxInstances bounds each instance cache; the benchmark's design sets
+// hold a few hundred instances.
+const maxInstances = 512
+
+// instanceCache memoizes work shared by every candidate of one design
+// instance. Each value is built once, concurrent callers waiting on
+// the same build, and is read-only afterwards, so engine workers share
+// it without copying.
+type instanceCache[V any] struct {
+	mu sync.Mutex
+	m  map[instanceKey]*instanceEntry[V]
+}
+
+type instanceEntry[V any] struct {
+	once sync.Once
+	v    V
+}
+
+func (c *instanceCache[V]) get(k instanceKey, build func() V) V {
+	c.mu.Lock()
+	e := c.m[k]
+	if e == nil {
+		if c.m == nil || len(c.m) >= maxInstances {
+			c.m = map[instanceKey]*instanceEntry[V]{}
+		}
+		e = &instanceEntry[V]{}
+		c.m[k] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
+}
+
+func (c *instanceCache[V]) clear() {
+	c.mu.Lock()
+	c.m = nil
+	c.mu.Unlock()
+}
+
+// benchFiles holds each Design2SVA instance's splice base (see
+// parseWithSnippet); helperSystems each AGR instance's elaborated
+// system with its target spliced in.
+var (
+	benchFiles    instanceCache[*rtl.File]
+	helperSystems instanceCache[elaborated]
+)
+
+type elaborated struct {
+	sys *rtl.System
+	err error
 }
 
 // insertBeforeEndmodule splices a snippet into the testbench body.

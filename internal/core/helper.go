@@ -63,16 +63,19 @@ func JudgeHelper(inst *helpergen.Instance, snippet string, opt mc.Options) (synt
 	if !ok {
 		return false, false, false
 	}
-	merged := insertBeforeEndmodule(inst.Bench, inst.Target)
-	f, err := parseDesignBench(inst.Design, merged)
-	if err != nil {
+	key := instanceKey{inst.Design, inst.Bench, inst.Target, inst.DUTTop, inst.BenchTop}
+	el := helperSystems.get(key, func() elaborated {
+		f, err := rtl.Parse(inst.Design + "\n" + insertBeforeEndmodule(inst.Bench, inst.Target))
+		if err != nil {
+			return elaborated{err: err}
+		}
+		sys, err := rtl.ElaborateBound(f, inst.DUTTop, inst.BenchTop, nil)
+		return elaborated{sys, err}
+	})
+	if el.err != nil {
 		return false, false, false
 	}
-	sys, err := rtl.ElaborateBound(f, inst.DUTTop, inst.BenchTop, nil)
-	if err != nil {
-		return false, false, false
-	}
-	res, lemmas, err := mc.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
+	res, lemmas, err := mc.CheckWithLemmas(el.sys, inst.TargetAst, helpers, opt)
 	if err != nil {
 		// elaboration error inside a property (undeclared signals etc.)
 		// counts against the syntax metric, like the other judges

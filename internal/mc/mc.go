@@ -22,7 +22,6 @@ package mc
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"fveval/internal/bitvec"
@@ -266,7 +265,7 @@ func (fe *frameEnv) initFrame0(free bool) {
 	for _, r := range fe.sys.Regs {
 		key := sigPos{r.Name, 0}
 		if free {
-			fe.states[key] = bitvec.Inputs(fe.b, r.Name+"@0", r.Width)
+			fe.states[key] = bitvec.Inputs(fe.b, r.Width)
 		} else {
 			fe.states[key] = bitvec.Const(r.Init, r.Width)
 		}
@@ -308,7 +307,7 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 			return v, nil
 		}
 		w := fe.sys.Widths[name]
-		v := bitvec.Inputs(fe.b, name+"@"+strconv.Itoa(pos), w)
+		v := bitvec.Inputs(fe.b, w)
 		fe.inputs[key] = v
 		return v, nil
 	}
@@ -661,12 +660,12 @@ func (ss *safetySession) grow(n int) (*ltl.LassoEval, error) {
 // constraint but keep everything learnt. Pending path constraints are
 // flushed into the CNF first (in the order they accumulated, so the
 // encoding matches the eager-assertion layout exactly).
-func (ss *safetySession) solveGated(name string, v logic.Node) (bool, []bool, error) {
+func (ss *safetySession) solveGated(v logic.Node) (bool, []bool, error) {
 	for _, n := range ss.pending {
 		ss.cnf.Assert(n)
 	}
 	ss.pending = ss.pending[:0]
-	act := ss.b.Input(name)
+	act := ss.b.Input()
 	ss.cnf.AssertIf(act, v)
 	pre := ss.s.Stats()
 	if pre.Solves > 0 {
@@ -712,7 +711,7 @@ func (ss *safetySession) checkDepth(k int) (*Cex, error) {
 		return decodeCexLane(ss.sys, ss.fe, ss.sim, lane, ss.frames, -1), nil
 	}
 	rsp := ss.opt.Span.Child("bmc").SetPhase(obs.PhaseSAT).SetInt("bound", int64(k))
-	ok, model, err := ss.solveGated(fmt.Sprintf("bmc_act@%d", k), v)
+	ok, model, err := ss.solveGated(v)
 	if err != nil {
 		rsp.SetStr("verdict", "error").End()
 		return nil, err
@@ -760,7 +759,7 @@ func (ss *safetySession) induct(k int) (bool, error) {
 		return false, nil
 	}
 	rsp := ss.opt.Span.Child("induct").SetPhase(obs.PhaseSAT).SetInt("bound", int64(k))
-	ok, model, err := ss.solveGated(fmt.Sprintf("ind_act@%d", k), v)
+	ok, model, err := ss.solveGated(v)
 	if err != nil {
 		rsp.SetStr("verdict", "error").End()
 		return false, err

@@ -12,6 +12,9 @@ import (
 // strips the directives. Unknown macros cause an error at parse time.
 func Preprocess(src string) (string, map[string]string) {
 	defines := map[string]string{}
+	if !strings.Contains(src, "`define") {
+		return src, defines
+	}
 	var out []string
 	for _, line := range strings.Split(src, "\n") {
 		trimmed := strings.TrimSpace(line)
@@ -33,17 +36,10 @@ func Preprocess(src string) (string, map[string]string) {
 
 // Parse parses a source file (after running the preprocessor).
 func Parse(src string) (*File, error) {
-	text, defines := Preprocess(src)
-	toks, err := sv.Tokenize(text)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	// Splice macro uses.
-	toks, err = expandMacros(toks, defines)
-	if err != nil {
-		return nil, err
-	}
-	p := &rparser{toks: toks}
 	f := &File{}
 	for !p.at(sv.EOF, "") {
 		m, err := p.parseModule()
@@ -55,8 +51,53 @@ func Parse(src string) (*File, error) {
 	return f, nil
 }
 
+// ParseItems parses src as a sequence of module items: a module body
+// without its header and endmodule. Like Parse, it runs the
+// preprocessor first.
+func ParseItems(src string) ([]Item, error) {
+	p, err := newParser(src)
+	if err != nil {
+		return nil, err
+	}
+	var items []Item
+	for !p.at(sv.EOF, "") {
+		its, err := p.parseItem()
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, its...)
+	}
+	return items, nil
+}
+
+// newParser preprocesses and tokenizes src and splices macro uses.
+func newParser(src string) (*rparser, error) {
+	text, defines := Preprocess(src)
+	toks, err := sv.Tokenize(text)
+	if err != nil {
+		return nil, err
+	}
+	toks, err = expandMacros(toks, defines)
+	if err != nil {
+		return nil, err
+	}
+	return &rparser{toks: toks}, nil
+}
+
+// expandMacros splices each macro use's definition into the token
+// stream. A stream without macro uses is returned as is.
 func expandMacros(toks []sv.Token, defines map[string]string) ([]sv.Token, error) {
-	var out []sv.Token
+	macros := 0
+	for _, t := range toks {
+		if t.Kind == sv.Macro {
+			macros++
+		}
+	}
+	if macros == 0 {
+		return toks, nil
+	}
+	// Definitions are short (a width, a depth): a few tokens each.
+	out := make([]sv.Token, 0, len(toks)+2*macros)
 	for _, t := range toks {
 		if t.Kind != sv.Macro {
 			out = append(out, t)

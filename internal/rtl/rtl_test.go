@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -441,5 +442,30 @@ endmodule
 	}
 	if vals["fsm_out"] != 2 {
 		t.Fatalf("bound fsm_out: %d want 2", vals["fsm_out"])
+	}
+}
+
+// TestParseItemsMatchesModuleBody checks that items parsed on their own
+// equal the same text parsed as a module body, and that a module
+// boundary inside the text is an error.
+func TestParseItemsMatchesModuleBody(t *testing.T) {
+	body := "logic seen;\nassign seen = !rst;\n" +
+		"p_seen: assert property (@(posedge clk) seen |-> !rst);\n" +
+		"always_ff @(posedge clk) begin if (rst) cnt <= 'd0; else cnt <= cnt + 'd1; end\n"
+	items, err := ParseItems(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Parse("module m;\n" + body + "endmodule\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(items, f.Modules[0].Items) {
+		t.Fatalf("items differ from the module body:\n%#v\n%#v", items, f.Modules[0].Items)
+	}
+	for _, bad := range []string{"endmodule module x;", "assign a = `W;", "/* open"} {
+		if _, err := ParseItems(bad); err == nil {
+			t.Errorf("ParseItems(%q): want an error", bad)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package sat
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Lit is a literal: variable index v (1-based) encoded as 2v for the
@@ -63,14 +64,26 @@ func (b lbool) neg() lbool {
 	return lUndef
 }
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-}
+// cref references a clause by the offset of its header in the
+// solver's arena. Clauses hold no Go pointers, so the garbage
+// collector never scans the clause database, however large it grows.
+//
+// Arena layout of one clause: a header word (literal count << 2 |
+// deleted bit | learnt bit), for learnt clauses the two halves of its
+// float64 activity, then its literals.
+type cref uint32
+
+// crefUndef is the reason of a decision, an assumption or a
+// root-level unit.
+const crefUndef cref = math.MaxUint32
+
+const (
+	hdrLearnt  = 1
+	hdrDeleted = 2
+)
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit // if blocker is true, the clause is satisfied
 }
 
@@ -78,16 +91,22 @@ type watcher struct {
 // with New.
 type Solver struct {
 	nVars    int
-	clauses  []*clause
-	learnts  []*clause
+	arena    []Lit       // clause storage; see cref
+	wasted   int         // arena words held by deleted clauses
+	clauses  []cref      // problem clauses, in insertion order
+	learnts  []cref      // learnt clauses, in learning order
 	watches  [][]watcher // indexed by literal
 	assigns  []lbool     // indexed by var (1-based; index 0 unused)
 	phase    []bool      // saved phase per var
 	level    []int       // decision level per var
-	reason   []*clause   // antecedent clause per var
+	reason   []cref      // antecedent clause per var
 	trail    []Lit
 	trailLim []int // trail index per decision level
 	qhead    int
+
+	// scratch buffers reused by conflict analysis and reduceDB
+	learntBuf, clearBuf, stackBuf []Lit
+	actBuf                        []float64
 
 	activity []float64
 	varInc   float64
@@ -137,7 +156,7 @@ func New() *Solver {
 	s.assigns = append(s.assigns, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
@@ -151,7 +170,7 @@ func (s *Solver) NewVar() int {
 	s.assigns = append(s.assigns, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
@@ -250,27 +269,80 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.alloc(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
+// alloc copies a clause into the arena.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	hdr := uint32(len(lits)) << 2
+	if learnt {
+		hdr |= hdrLearnt
+	}
+	s.arena = append(s.arena, Lit(hdr))
+	if learnt {
+		s.arena = append(s.arena, 0, 0) // activity 0
+	}
+	s.arena = append(s.arena, lits...)
+	return c
+}
+
+func (s *Solver) header(c cref) uint32 { return uint32(s.arena[c]) }
+
+// words is the arena footprint of the clause with header hdr.
+func words(hdr uint32) int {
+	n := 1 + int(hdr>>2)
+	if hdr&hdrLearnt != 0 {
+		n += 2
+	}
+	return n
+}
+
+// lits returns the clause's literals, aliasing the arena: swaps write
+// through.
+func (s *Solver) lits(c cref) []Lit {
+	hdr := s.header(c)
+	start := int(c) + 1
+	if hdr&hdrLearnt != 0 {
+		start += 2
+	}
+	end := start + int(hdr>>2)
+	return s.arena[start:end:end]
+}
+
+func (s *Solver) isLearnt(c cref) bool { return s.header(c)&hdrLearnt != 0 }
+
+func (s *Solver) deleted(c cref) bool { return s.header(c)&hdrDeleted != 0 }
+
+func (s *Solver) clauseActivity(c cref) float64 {
+	return math.Float64frombits(uint64(uint32(s.arena[c+1])) | uint64(uint32(s.arena[c+2]))<<32)
+}
+
+func (s *Solver) setClauseActivity(c cref, a float64) {
+	bits := math.Float64bits(a)
+	s.arena[c+1] = Lit(uint32(bits))
+	s.arena[c+2] = Lit(uint32(bits >> 32))
+}
+
+func (s *Solver) attach(c cref) {
 	// watch the first two literals
-	w0, w1 := c.lits[0], c.lits[1]
+	lits := s.lits(c)
+	w0, w1 := lits[0], lits[1]
 	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{c, w1})
 	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{c, w0})
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Neg() {
 		s.assigns[v] = lFalse
@@ -285,18 +357,18 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // propagate performs unit propagation; returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// crefUndef.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.propsCount++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		confl := crefUndef
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if confl != nil {
+			if confl != crefUndef {
 				kept = append(kept, ws[i:]...)
 				break
 			}
@@ -305,22 +377,23 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
-			// ensure c.lits[0] is the other watched literal
+			lits := s.lits(c)
+			// ensure lits[0] is the other watched literal
 			falseLit := p.Not()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.valueLit(first) == lTrue {
 				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// search replacement watch
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if s.valueLit(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
 					found = true
 					break
 				}
@@ -338,29 +411,31 @@ func (s *Solver) propagate() *clause {
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = kept
-		if confl != nil {
+		if confl != crefUndef {
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 // analyze computes a first-UIP learnt clause and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+// The clause aliases a scratch buffer: it is valid until the next
+// analysis.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // slot 0 reserved for the asserting literal
 	pathC := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
-		if confl.learnt {
+		if s.isLearnt(confl) {
 			s.bumpClause(confl)
 		}
 		start := 0
 		if p != -1 {
 			start = 1
 		}
-		for _, q := range confl.lits[start:] {
+		for _, q := range s.lits(confl)[start:] {
 			v := q.Var()
 			if !s.seen[v] && s.level[v] > 0 {
 				s.seen[v] = true
@@ -393,7 +468,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	// literals dropped by minimization and variables marked inside
 	// litRedundant — must be cleared before returning, or the next
 	// analysis round sees stale flags and miscounts paths.
-	toClear := append([]Lit(nil), learnt...)
+	toClear := append(s.clearBuf[:0], learnt...)
 	abstract := 0
 	for _, l := range learnt[1:] {
 		abstract |= 1 << (uint(s.level[l.Var()]) & 31)
@@ -401,7 +476,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	j := 1
 	for i := 1; i < len(learnt); i++ {
 		l := learnt[i]
-		if s.reason[l.Var()] == nil || !s.litRedundant(l, abstract, &toClear) {
+		if s.reason[l.Var()] == crefUndef || !s.litRedundant(l, abstract, &toClear) {
 			learnt[j] = l
 			j++
 		}
@@ -423,6 +498,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for _, l := range toClear {
 		s.seen[l.Var()] = false
 	}
+	s.learntBuf, s.clearBuf = learnt, toClear
 	return out, btLevel
 }
 
@@ -430,38 +506,41 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // learnt-clause literals (standard clause minimization). Variables it
 // marks seen are recorded in toClear for the caller to reset.
 func (s *Solver) litRedundant(l Lit, abstract int, toClear *[]Lit) bool {
-	stack := []Lit{l}
+	stack := append(s.stackBuf[:0], l)
 	top := len(*toClear)
+	redundant := true
+search:
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		c := s.reason[p.Var()]
-		if c == nil {
-			// Roll back marks made during this call only.
-			for _, q := range (*toClear)[top:] {
-				s.seen[q.Var()] = false
-			}
-			*toClear = (*toClear)[:top]
-			return false
+		if c == crefUndef {
+			redundant = false
+			break
 		}
-		for _, q := range c.lits[1:] {
+		for _, q := range s.lits(c)[1:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
 			}
-			if s.reason[v] == nil || (1<<(uint(s.level[v])&31))&abstract == 0 {
-				for _, qq := range (*toClear)[top:] {
-					s.seen[qq.Var()] = false
-				}
-				*toClear = (*toClear)[:top]
-				return false
+			if s.reason[v] == crefUndef || (1<<(uint(s.level[v])&31))&abstract == 0 {
+				redundant = false
+				break search
 			}
 			s.seen[v] = true
 			*toClear = append(*toClear, q)
 			stack = append(stack, q)
 		}
 	}
-	return true
+	s.stackBuf = stack
+	if !redundant {
+		// Roll back marks made during this call only.
+		for _, q := range (*toClear)[top:] {
+			s.seen[q.Var()] = false
+		}
+		*toClear = (*toClear)[:top]
+	}
+	return redundant
 }
 
 // analyzeFinal computes the failed-assumption core when assumption p
@@ -483,12 +562,12 @@ func (s *Solver) analyzeFinal(p Lit) []Lit {
 		if !s.seen[v] {
 			continue
 		}
-		if c := s.reason[v]; c == nil {
+		if c := s.reason[v]; c == crefUndef {
 			if s.level[v] > 0 {
 				core = append(core, s.trail[i])
 			}
 		} else {
-			for _, q := range c.lits[1:] {
+			for _, q := range s.lits(c)[1:] {
 				if s.level[q.Var()] > 0 {
 					s.seen[q.Var()] = true
 				}
@@ -509,7 +588,7 @@ func (s *Solver) backtrack(level int) {
 		v := s.trail[i].Var()
 		s.phase[v] = s.assigns[v] == lTrue
 		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		if !s.order.inHeap(v) {
 			s.order.push(v)
 		}
@@ -532,11 +611,12 @@ func (s *Solver) bumpVar(v int) {
 	}
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.clauseActivity(c) + s.claInc
+	s.setClauseActivity(c, a)
+	if a > 1e20 {
 		for _, cl := range s.learnts {
-			cl.activity *= 1e-20
+			s.setClauseActivity(cl, s.clauseActivity(cl)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -553,26 +633,31 @@ func (s *Solver) pickBranchVar() int {
 }
 
 // reduceDB removes half of the learnt clauses with lowest activity.
+// Removal sets the clause's deleted bit and drops its watchers; the
+// arena is compacted once deleted clauses fill half of it.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 100 {
 		return
 	}
 	// partial selection: simple threshold at median via nth-element-ish pass
-	acts := make([]float64, len(s.learnts))
-	for i, c := range s.learnts {
-		acts[i] = c.activity
+	acts := s.actBuf[:0]
+	for _, c := range s.learnts {
+		acts = append(acts, s.clauseActivity(c))
 	}
+	s.actBuf = acts
 	med := quickMedian(acts)
 	kept := s.learnts[:0]
-	removed := map[*clause]bool{}
+	removed := 0
 	for _, c := range s.learnts {
-		if len(c.lits) <= 2 || c.activity >= med || s.locked(c) {
+		if s.header(c)>>2 <= 2 || s.clauseActivity(c) >= med || s.locked(c) {
 			kept = append(kept, c)
 		} else {
-			removed[c] = true
+			s.arena[c] |= hdrDeleted
+			s.wasted += words(s.header(c))
+			removed++
 		}
 	}
-	if len(removed) == 0 {
+	if removed == 0 {
 		return
 	}
 	s.learnts = kept
@@ -580,26 +665,57 @@ func (s *Solver) reduceDB() {
 		ws := s.watches[li]
 		out := ws[:0]
 		for _, w := range ws {
-			if !removed[w.c] {
+			if !s.deleted(w.c) {
 				out = append(out, w)
 			}
 		}
 		s.watches[li] = out
 	}
+	if s.wasted > len(s.arena)/2 {
+		s.compact()
+	}
 }
 
-func (s *Solver) locked(c *clause) bool {
-	return len(c.lits) > 0 && s.reason[c.lits[0].Var()] == c &&
-		s.valueLit(c.lits[0]) == lTrue
+// compact copies the live clauses into a fresh arena, in database
+// order, and rewrites every reference: clause lists, watchers and the
+// reasons of assigned variables. Deleted clauses are referenced by
+// none of these (a locked clause is never deleted).
+func (s *Solver) compact() {
+	old := s.arena
+	s.arena = make([]Lit, 0, len(old)-s.wasted)
+	s.wasted = 0
+	move := func(refs []cref) {
+		for i, c := range refs {
+			n := cref(len(s.arena))
+			s.arena = append(s.arena, old[c:int(c)+words(uint32(old[c]))]...)
+			old[c] = Lit(n) // forwarding address
+			refs[i] = n
+		}
+	}
+	move(s.clauses)
+	move(s.learnts)
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = cref(old[ws[i].c])
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			s.reason[l.Var()] = cref(old[r])
+		}
+	}
 }
 
-func quickMedian(a []float64) float64 {
-	if len(a) == 0 {
+func (s *Solver) locked(c cref) bool {
+	first := s.lits(c)[0]
+	return s.reason[first.Var()] == c && s.valueLit(first) == lTrue
+}
+
+// quickMedian selects the median of b, reordering b in place.
+func quickMedian(b []float64) float64 {
+	if len(b) == 0 {
 		return 0
 	}
-	// median-of-medians not needed; simple insertion on copy is fine for
-	// the sizes reduceDB sees (bounded by learnt-clause count).
-	b := append([]float64(nil), a...)
 	lo, hi, k := 0, len(b)-1, len(b)/2
 	for lo < hi {
 		p := b[(lo+hi)/2]
@@ -658,7 +774,7 @@ func (s *Solver) search(maxConfl int64, assumptions []Lit, learntCap *int) (sat 
 	conflC := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.conflicts++
 			conflC++
 			if s.decisionLevel() == 0 {
@@ -668,9 +784,9 @@ func (s *Solver) search(maxConfl int64, assumptions []Lit, learntCap *int) (sat 
 			learnt, btLevel := s.analyze(confl)
 			s.backtrack(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
+				c := s.alloc(learnt, true)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
@@ -714,7 +830,7 @@ func (s *Solver) search(maxConfl int64, assumptions []Lit, learntCap *int) (sat 
 			next = NewLit(v, !s.phase[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
 

@@ -316,7 +316,9 @@ func (lx *Lexer) lexBasedTail(start int, pos Pos) (Token, error) {
 // Tokenize lexes the whole input.
 func Tokenize(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var out []Token
+	// SystemVerilog source averages three to four bytes per token, so
+	// one allocation usually holds the whole stream.
+	out := make([]Token, 0, len(src)/3+2)
 	for {
 		t, err := lx.Next()
 		if err != nil {
