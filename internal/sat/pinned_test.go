@@ -79,8 +79,10 @@ func random3SATSequence(t *testing.T) []pinnedStep {
 // TestPinnedSearchStats pins the solver's search trajectory: verdicts
 // and the Conflicts/Decisions/Propagations/Learnt counters after fixed
 // incremental solve sequences, sized so that learnt-clause reduction
-// runs. The values were recorded once and must never be regenerated: a
-// change to clause storage must leave every search bit-identical.
+// runs. The values were recorded before clauses moved to the arena: a
+// change to how clauses are stored must reproduce them exactly. Only a
+// change that means to alter the search (a new restart or retention
+// policy) may record new values.
 func TestPinnedSearchStats(t *testing.T) {
 	cases := []struct {
 		name string

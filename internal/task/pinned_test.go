@@ -14,8 +14,9 @@ import (
 // SHA-256 of their encoding. The golden files cover small slices; these
 // digests cover every instance, sample and model, so any change to how
 // the design judge parses, elaborates or proves must leave every
-// verdict in place. The digests were recorded once and must never be
-// regenerated.
+// verdict in place. The digests were recorded before the per-instance
+// parse cache existed; a change to how the judge works, rather than to
+// what it decides, must reproduce them exactly.
 func TestPinnedFormalDigests(t *testing.T) {
 	cases := []struct {
 		name string
