@@ -8,6 +8,7 @@ build:
 
 test:
 	$(GO) test -race ./...
+	$(GO) test -count=2 -run Pinned ./internal/sat ./internal/task
 
 # service-smoke drives the fvevald service tier end to end under
 # httptest: registry listing, submit/stream/poll/cancel, admission

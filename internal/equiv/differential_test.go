@@ -26,7 +26,7 @@ func oneShotFindWitness(f, g ltl.Formula, sigs *Sigs, k int, usesPast, unbounded
 	ev := &ltl.ExprEval{Ops: bitvec.Ops{B: b}, Env: env}
 	names := unionNames(f, g)
 
-	perLoop := make(map[int]logic.Node)
+	perLoop := make([]logic.Node, k)
 	total := logic.False
 	for _, l := range loopsFor(k, usesPast, unbounded) {
 		le := ltl.NewLassoEval(ev, k, l)

@@ -426,7 +426,7 @@ func findWitnesses(fa, fb ltl.Formula, sigs *Sigs, ks []int, usesPast, unbounded
 			if dir.done {
 				continue
 			}
-			perLoop := make(map[int]logic.Node)
+			perLoop := make([]logic.Node, k) // by loop start; False when unused
 			total := logic.False
 			for _, l := range loops {
 				le := family.At(k, l)
@@ -552,7 +552,7 @@ func unionNames(f, g ltl.Formula) []string {
 // input values are broadcast into a one-lane simulation of the dense
 // evaluator (no maps, no recursion) and the trace reads off lane 0.
 func decodeTrace(b *logic.Builder, env *ltl.TraceEnv, cnf *logic.CNF,
-	model []bool, names []string, sigs *Sigs, k int, perLoop map[int]logic.Node) *Trace {
+	model []bool, names []string, sigs *Sigs, k int, perLoop []logic.Node) *Trace {
 
 	sim := logic.NewSim(b)
 	for _, n := range names {
@@ -574,9 +574,11 @@ func decodeTrace(b *logic.Builder, env *ltl.TraceEnv, cnf *logic.CNF,
 // the shared decode path of the SAT model decoder and the prefilter
 // (whose hit lane is already a complete assignment).
 func decodeTraceLane(sim *logic.Sim, lane int, env *ltl.TraceEnv,
-	names []string, k int, perLoop map[int]logic.Node) *Trace {
+	names []string, k int, perLoop []logic.Node) *Trace {
 
 	tr := &Trace{Loop: -1, Len: k, Signals: map[string][]uint64{}}
+	// The smallest violating loop start wins, so the loop a witness
+	// reports (and RefineFeedback quotes) is deterministic.
 	for l, viol := range perLoop {
 		if sim.Bit(viol, lane) {
 			tr.Loop = l

@@ -3,6 +3,7 @@ package equiv
 import (
 	"testing"
 
+	"fveval/internal/logic"
 	"fveval/internal/ltl"
 	"fveval/internal/sva"
 )
@@ -376,5 +377,24 @@ func TestFSMStateExample(t *testing.T) {
 	res := check(t, a, b2, sigs)
 	if res.Verdict != Equivalent {
 		t.Errorf("parameter-based FSM states: got %v", res.Verdict)
+	}
+}
+
+// TestDecodePicksSmallestViolatingLoop decodes a lane in which the
+// loops starting at 2 and 3 both violate: every decode must report
+// loop 2, the smallest, never a choice that varies between calls.
+func TestDecodePicksSmallestViolatingLoop(t *testing.T) {
+	b := logic.NewBuilder()
+	env := ltl.NewTraceEnv(b, map[string]int{}, nil)
+	x, y, z := b.Input(), b.Input(), b.Input()
+	perLoop := []logic.Node{logic.False, x, y, z}
+	sim := logic.NewSim(b)
+	sim.SetInput(y, 1)
+	sim.SetInput(z, 1)
+	sim.Run()
+	for i := 0; i < 50; i++ {
+		if tr := decodeTraceLane(sim, 0, env, nil, len(perLoop), perLoop); tr.Loop != 2 {
+			t.Fatalf("decode %d reported loop %d, want 2", i, tr.Loop)
+		}
 	}
 }

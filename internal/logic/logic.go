@@ -10,6 +10,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 
 	"fveval/internal/sat"
 )
@@ -65,9 +66,22 @@ func NewBuilder() *Builder {
 		htab:   make([]int32, 1024),
 		hshift: 64 - 10,
 	}
-	b.gates = append(b.gates, gate{}) // index 0: constants
-	b.isVar = append(b.isVar, false)
+	b.Reset()
 	return b
+}
+
+// Reset returns the builder to the state NewBuilder leaves it in —
+// only the constants, no inputs, no hash hits — keeping the capacity
+// of every table, so a recycled builder grows into its old storage.
+// The hash table keeps its size too, emptied: a lookup answers exactly
+// as in a fresh table, so node ids and hash hits repeat.
+func (b *Builder) Reset() {
+	b.gates = append(b.gates[:0], gate{}) // index 0: constants
+	b.isVar = append(b.isVar[:0], false)
+	b.inputs = b.inputs[:0]
+	clear(b.htab)
+	b.hcount = 0
+	b.hashHits = 0
 }
 
 // hashIdx returns the open-addressing start slot for a gate.
@@ -269,6 +283,17 @@ func NewCNF(b *Builder, s *sat.Solver) *CNF {
 	return &CNF{b: b, solver: s}
 }
 
+// Reset forgets every encoded node, returning the emitter to the state
+// NewCNF leaves it in while keeping the capacity of its tables. Reset
+// the builder and solver with it: the emitter's variables refer to
+// both.
+func (c *CNF) Reset() {
+	c.varOf = c.varOf[:0]
+	c.encoded = 0
+	c.highWater = 0
+	c.stack = c.stack[:0]
+}
+
 // Encoded returns the number of circuit nodes already emitted as CNF.
 func (c *CNF) Encoded() int { return c.encoded }
 
@@ -352,13 +377,11 @@ func (c *CNF) encode(idx int32) int {
 // setVar records the sat variable for a node and advances the
 // high-water emission mark.
 func (c *CNF) setVar(idx int32, v int) {
-	if n := len(c.b.gates); len(c.varOf) < n {
-		grown := make([]int32, n+n/2)
-		copy(grown, c.varOf)
-		for i := len(c.varOf); i < len(grown); i++ {
-			grown[i] = -1
+	if n, old := len(c.b.gates), len(c.varOf); old < n {
+		c.varOf = slices.Grow(c.varOf, n+n/2-old)[:n+n/2]
+		for i := old; i < len(c.varOf); i++ {
+			c.varOf[i] = -1
 		}
-		c.varOf = grown
 	}
 	c.varOf[idx] = int32(v)
 	c.encoded++

@@ -27,9 +27,17 @@ type Sim struct {
 // NewSim creates an evaluator for the builder's circuit.
 func NewSim(b *Builder) *Sim { return &Sim{b: b} }
 
+// Reset returns the evaluator to the state NewSim leaves it in,
+// keeping the value slice's capacity: every lane of every node reads
+// zero again once the next SetInput or Run sizes the slice, so inputs
+// left unassigned are zero, as their definition requires.
+func (s *Sim) Reset() { s.vals = s.vals[:0] }
+
 // grow sizes the value slice to the builder's current node table.
 func (s *Sim) grow() {
 	if n := len(s.b.gates); len(s.vals) < n {
+		// append zero-fills the new words even when it reuses the
+		// capacity a Reset kept.
 		s.vals = append(s.vals, make([]uint64, n-len(s.vals))...)
 	}
 }

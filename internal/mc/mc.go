@@ -324,10 +324,12 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 		}
 		fe.busy[key] = true
 		v, err := fe.ev.Eval(net.Expr, pos)
+		// Clear the mark on every path: a mark left behind by a failed
+		// evaluation would make the next lookup report a spurious loop.
+		delete(fe.busy, key)
 		if err != nil {
 			return bitvec.BV{}, err
 		}
-		delete(fe.busy, key)
 		v = v.Extend(net.Width)
 		fe.nets[key] = v
 		return v, nil
@@ -412,6 +414,7 @@ type safetySession struct {
 	d       int
 	opt     Options
 
+	st     *store // owns b, s, cnf and sim; returned by finish
 	b      *logic.Builder
 	fe     *frameEnv
 	family *ltl.LassoFamily
@@ -444,10 +447,10 @@ type safetySession struct {
 }
 
 func newSafetySession(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, lemmas []assumedLemma, d int, freeInit bool, opt Options) *safetySession {
-	b := logic.NewBuilder()
+	st := getStore()
+	b, s := st.b, st.s
 	fe := newFrameEnv(b, sys)
 	fe.initFrame0(freeInit)
-	s := sat.New()
 	if opt.Budget > 0 {
 		// Per-call budget: every depth's Solve gets the full allowance,
 		// mirroring the former one-solver-per-query accounting.
@@ -455,15 +458,15 @@ func newSafetySession(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []
 	}
 	ss := &safetySession{
 		sys: sys, f: f, abort: abort, assumes: assumes, lemmas: lemmas, d: d, opt: opt,
-		b: b, fe: fe, family: ltl.NewLassoFamily(fe.ev),
-		s: s, cnf: logic.NewCNF(b, s),
+		st: st, b: b, fe: fe, family: ltl.NewLassoFamily(fe.ev),
+		s: s, cnf: st.cnf,
 		asmNext:  make([]int, len(assumes)),
 		lemNext:  make([]int, len(lemmas)),
 		conj:     logic.True,
 		freeInit: freeInit,
 	}
 	if opt.SimPatterns > 0 {
-		ss.sim = logic.NewSim(b)
+		ss.sim = st.sim
 		ss.banked = opt.Bank.Patterns(64)
 		// Fixed seed: deterministic pattern stream per session.
 		ss.rng = 0x5eed5eed5eed5eed
@@ -778,11 +781,15 @@ func (ss *safetySession) induct(k int) (bool, error) {
 	return !ok, nil
 }
 
-// report streams the session's reuse counters into the stats sink.
-func (ss *safetySession) report(st *formal.Stats, early bool) {
+// finish streams the session's reuse counters into the stats sink and
+// returns its store to the free list. The session is dead afterwards:
+// its frame environment refers to nodes of a builder that may already
+// serve another check.
+func (ss *safetySession) finish(st *formal.Stats, early bool) {
 	st.Query(ss.solves, ss.conflicts, ss.learntKept, early)
 	st.GatesShared(ss.b.HashHits() - ss.hashMark)
 	st.NodesEncoded(int64(ss.cnf.Encoded()))
+	putStore(ss.st)
 }
 
 func checkSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, lemmas []assumedLemma, opt Options) (Result, error) {
@@ -790,9 +797,12 @@ func checkSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.F
 	started := time.Now()
 	base := newSafetySession(sys, f, abort, assumes, lemmas, d, false, opt)
 	step := newSafetySession(sys, f, abort, assumes, lemmas, d, true, opt)
+	// Every exit comes through finish, after the last counterexample
+	// decode: decoded counterexamples and SAT models are fresh values,
+	// so nothing returned aliases the recycled stores.
 	finish := func(res Result, early bool) Result {
-		base.report(opt.Stats, early)
-		step.report(opt.Stats, early)
+		base.finish(opt.Stats, early)
+		step.finish(opt.Stats, early)
 		opt.Stats.SolveWall(time.Since(started).Nanoseconds())
 		return res
 	}
@@ -860,7 +870,7 @@ func checkLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl
 		return Result{}, err
 	}
 	ops := bitvec.Ops{B: b}
-	perLoop := map[int]logic.Node{}
+	perLoop := make([]logic.Node, k) // violation per loop start
 	total := logic.False
 	for l := 0; l < k; l++ {
 		le := ltl.NewLassoEval(fe.ev, k, l)
@@ -926,6 +936,8 @@ func checkLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl
 	if !ok {
 		return Result{Status: Proven, Bounded: true, Depth: k}, nil
 	}
+	// Report the smallest violating loop start, so the choice is
+	// deterministic when several loops violate.
 	loop := -1
 	sim := modelSim(fe, cnf, model)
 	for l, node := range perLoop {

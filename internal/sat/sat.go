@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Lit is a literal: variable index v (1-based) encoded as 2v for the
@@ -146,21 +147,42 @@ var ErrBudget = errors.New("sat: conflict budget exhausted")
 
 // New returns an empty solver with no variables.
 func New() *Solver {
-	s := &Solver{
-		varInc: 1.0,
-		claInc: 1.0,
-		ok:     true,
-	}
-	s.order = newVarHeap(&s.activity)
-	// index 0 of per-var slices is unused (vars are 1-based)
-	s.assigns = append(s.assigns, lUndef)
-	s.phase = append(s.phase, false)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, crefUndef)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s := &Solver{}
+	s.order = &varHeap{activity: &s.activity}
+	s.Reset()
 	return s
+}
+
+// Reset returns the solver to the state New leaves it in: no
+// variables or clauses, unit activity increments, zero counters, no
+// budget, no core. It keeps the capacity of every slice, the clause
+// arena and the per-literal watch lists included, so a recycled
+// solver grows into its old storage instead of allocating. Variables,
+// watch order and therefore every search step repeat exactly as on a
+// fresh solver.
+func (s *Solver) Reset() {
+	s.nVars = 0
+	s.arena = s.arena[:0]
+	s.wasted = 0
+	s.clauses = s.clauses[:0]
+	s.learnts = s.learnts[:0]
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+	s.varInc, s.claInc = 1.0, 1.0
+	s.order.reset()
+	s.conflicts, s.decisions, s.propsCount, s.solves = 0, 0, 0, 0
+	s.maxConflicts = 0
+	s.core = nil
+	s.ok = true
+	// index 0 of per-var slices is unused (vars are 1-based)
+	s.assigns = append(s.assigns[:0], lUndef)
+	s.phase = append(s.phase[:0], false)
+	s.level = append(s.level[:0], 0)
+	s.reason = append(s.reason[:0], crefUndef)
+	s.activity = append(s.activity[:0], 0)
+	s.seen = append(s.seen[:0], false)
+	s.watches = append(s.watches[:0], nil, nil)
 }
 
 // NewVar allocates a fresh variable and returns its 1-based index.
@@ -173,7 +195,13 @@ func (s *Solver) NewVar() int {
 	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	// The watch lists of a reset solver survive in the spare capacity
+	// of s.watches: extend into them, truncated, instead of appending
+	// nil lists that would have to grow again.
+	n := len(s.watches)
+	s.watches = slices.Grow(s.watches, 2)[:n+2]
+	s.watches[n] = s.watches[n][:0]
+	s.watches[n+1] = s.watches[n+1][:0]
 	s.order.push(v)
 	return v
 }
@@ -896,8 +924,10 @@ type varHeap struct {
 	activity *[]float64
 }
 
-func newVarHeap(act *[]float64) *varHeap {
-	return &varHeap{activity: act, indices: make([]int, 1)}
+// reset empties the heap, keeping its capacity.
+func (h *varHeap) reset() {
+	h.heap = h.heap[:0]
+	h.indices = append(h.indices[:0], 0)
 }
 
 func (h *varHeap) less(a, b int) bool {
