@@ -68,5 +68,6 @@ lint:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
+	$(GO) vet -tags faultinject ./...
 
 ci: build lint test service-smoke cluster-smoke chaos-smoke perfbench-selftest bench

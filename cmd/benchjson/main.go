@@ -43,7 +43,7 @@ type Entry struct {
 	// NsPerOp is nanoseconds per iteration for this run.
 	NsPerOp int64 `json:"ns_per_op"`
 	// Task is the registry task regenerating the same artifact
-	// (fveval -task <name>), when the benchmark maps to one.
+	// (fvevalctl run -task <name>), when the benchmark maps to one.
 	Task string `json:"task,omitempty"`
 	// Shards and Workers locate the entry on the distributed-scaling
 	// axis: 1/1 for single-process benchmarks, the fleet shape for

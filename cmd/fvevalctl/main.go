@@ -1,16 +1,24 @@
-// Command fvevalctl is the operator CLI for the FVEval service tier.
-// It can coordinate a distributed run itself (splitting one registry
-// task into shard slices, fanning them out across a worker fleet, and
-// merging the partial reports into a report byte-identical to an
-// unsharded run), or drive a fvevald coordinator remotely over the v1
-// API through internal/service/client.
+// Command fvevalctl is the one CLI for FVEval: every table and figure
+// of the paper regenerates from `fvevalctl run`, and the service tier
+// is driven from the same binary. A run executes in-process on one
+// evaluation engine by default (the single-process reference every
+// distributed run is diffed against); with -workers, -registry or
+// -local it coordinates a distributed run itself instead, splitting
+// the task into shard slices, fanning them out across a worker fleet,
+// and merging the partial reports into a report byte-identical to the
+// in-process one. The remaining subcommands drive a fvevald
+// coordinator remotely over the v1 API through
+// internal/service/client.
 //
 // Usage:
 //
 //	fvevalctl tasks                                             # list the registry
+//	fvevalctl run -task nl2sva-human                            # in-process, one engine
+//	fvevalctl run -task table5 -limit 8 -json                   # unified run JSON
+//	fvevalctl run -task table2 -j 1 -cache=false                # serial, memos off
 //	fvevalctl run -task table2 -workers http://a:8080,http://b:8080
 //	fvevalctl run -task table2 -registry http://coord:8080      # fleet = registered workers
-//	fvevalctl run -task nl2sva-human -local 4                   # 4 in-process engines
+//	fvevalctl run -task nl2sva-human -local 4                   # 4 loopback engines
 //	fvevalctl submit -to http://coord:8080 -task table1         # queue a run, print its id
 //	fvevalctl submit -to http://coord:8080 -task table2 -distributed -follow
 //	fvevalctl report -to http://coord:8080 run-000001           # fetch a finished run's payload
@@ -18,6 +26,12 @@
 //	fvevalctl metrics -to http://coord:8080                     # scrape /metrics
 //	fvevalctl submit -to http://coord:8080 -task table1 -trace t.json -follow
 //	fvevalctl trace -to http://coord:8080 -o t.json run-000001  # Perfetto export
+//
+// An in-process run prints the run's own equivalence-cache, formal
+// backend and simulation-prefilter counters to stderr; a fleet run
+// prints its shard and retry summary instead. The fleet-only flags
+// (-shards, -attempts, -shard-timeout, -hedge, -backoff, -backoff-cap,
+// -seed) are rejected without a fleet.
 //
 // Tracing: `run -trace file.json` records spans locally and writes
 // Chrome trace-event JSON (load it at https://ui.perfetto.dev).
@@ -38,7 +52,6 @@ import (
 	"fmt"
 	"os"
 	"regexp"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -89,7 +102,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   fvevalctl tasks                    list the task registry
-  fvevalctl run -task <name> ...     coordinate a run across a worker fleet
+  fvevalctl run -task <name> ...     run a task in-process, or across a worker fleet
   fvevalctl submit -to <url> ...     submit a run to a fvevald service
   fvevalctl report -to <url> <id>    print a finished run's payload
   fvevalctl workers -to <url>        list the registered worker fleet
@@ -153,7 +166,7 @@ func runFlags(c *runConfig) *flag.FlagSet {
 	fs.StringVar(&c.taskName, "task", "", "registry task to run (name, or tableN / figureN alias)")
 	fs.StringVar(&c.workers, "workers", "", "comma-separated fvevald worker URLs (http://host:port,...)")
 	fs.StringVar(&c.registry, "registry", "", "coordinator URL; fleet = its live registered workers")
-	fs.IntVar(&c.local, "local", 0, "spin N in-process loopback engines instead of remote workers (0 = NumCPU when -workers is empty)")
+	fs.IntVar(&c.local, "local", 0, "shard the run across N in-process loopback engines (0 = no fleet: run in-process on one engine, unsharded, unless -workers or -registry is set)")
 	fs.IntVar(&c.shards, "shards", 0, "shard count override (0 = one per worker)")
 	fs.IntVar(&c.attempts, "attempts", 0, "max attempts per shard before the run fails (0 = 3)")
 	fs.DurationVar(&c.timeout, "shard-timeout", 0, "per-attempt deadline; an expired shard is reassigned (0 = none)")
@@ -170,8 +183,8 @@ func runFlags(c *runConfig) *flag.FlagSet {
 	fs.IntVar(&c.limit, "limit", 0, "truncate instance lists (0 = full size)")
 	fs.IntVar(&c.count, "count", 0, "NL2SVA-Machine dataset size (0 = task default)")
 	fs.IntVar(&c.samples, "samples", 0, "samples per instance for pass@k runs (0 = paper default)")
-	fs.IntVar(&c.parallel, "j", 0, "per-worker evaluation parallelism (0 = worker default)")
-	fs.BoolVar(&c.cache, "cache", true, "memoize formal equivalence checks and every judgment memo within each worker")
+	fs.IntVar(&c.parallel, "j", 0, "evaluation parallelism per engine (0 = the engine default, GOMAXPROCS)")
+	fs.BoolVar(&c.cache, "cache", true, "memoize formal equivalence checks and every judgment memo within each engine")
 	fs.IntVar(&c.maxBound, "maxbound", 0, "cap for the formal backend's bound ramp (0 = defaults)")
 	fs.Int64Var(&c.budget, "budget", 0, "SAT conflict budget per formal query (0 = default)")
 	return fs
@@ -240,6 +253,78 @@ func runCmd(args []string) error {
 	if err := activateFaults(c.faults); err != nil {
 		return err
 	}
+	ctx := context.Background()
+	if c.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.deadline)
+		defer cancel()
+	}
+	var rec *obs.Recorder
+	var root *obs.Span
+	if c.traceOut != "" {
+		// A one-shot CLI run has no reason to keep the service's tight
+		// ring default: heavy tables (deep SAT ramps) emit tens of
+		// thousands of spans, and dropping them would evict the tree's
+		// roots. The cap still exists as a backstop against runaway runs.
+		traceCap := c.traceCap
+		if traceCap == 0 {
+			traceCap = 1 << 20
+		}
+		rec = obs.NewRecorder(traceCap)
+		root = rec.Start("run", 0)
+		root.SetStr("task", req.Task)
+		ctx = obs.ContextWithSpan(obs.NewContext(ctx, rec), root)
+	}
+	var run *task.Run
+	var res *dist.Result
+	if runners == nil {
+		// No fleet: the single-process reference, one engine, unsharded.
+		if c.verbose {
+			req.Progress = printEvent
+		}
+		run, err = task.NewEngine(engine.Config{}).Run(ctx, req)
+	} else {
+		res, err = runFleet(ctx, runners, &c, req)
+	}
+	if err != nil {
+		return err
+	}
+	if res != nil {
+		run = res.Run
+	}
+	if rec != nil {
+		root.End()
+		spans, dropped := rec.Snapshot()
+		if err := writeChromeTrace(c.traceOut, spans, dropped); err != nil {
+			return err
+		}
+	}
+	if c.jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if res != nil {
+			return enc.Encode(res)
+		}
+		return enc.Encode(run)
+	}
+	fmt.Println(run.Report.Render())
+	if res != nil {
+		fmt.Fprintf(os.Stderr, "fvevalctl: %d shards over %d workers, %d attempts (%d retried), %d jobs, slowest shard %dms\n",
+			res.Shards, res.Workers, res.Attempts, res.Retries, run.Stats.Jobs, run.Stats.WallMS)
+		return nil
+	}
+	if st := run.Stats.Cache; st.Hits+st.Misses > 0 {
+		fmt.Fprintln(os.Stderr, "fvevalctl:", st)
+	}
+	if fst := run.Stats.Formal; fst.Queries > 0 {
+		fmt.Fprintln(os.Stderr, "fvevalctl:", fst)
+		fmt.Fprintln(os.Stderr, "fvevalctl:", fst.Sim)
+	}
+	return nil
+}
+
+// runFleet shards req across runners and merges the partials.
+func runFleet(ctx context.Context, runners []dist.Runner, c *runConfig, req task.Request) (*dist.Result, error) {
 	opts := dist.Options{
 		Shards:       c.shards,
 		MaxAttempts:  c.attempts,
@@ -265,50 +350,15 @@ func runCmd(args []string) error {
 	}
 	coord, err := dist.New(runners, opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ctx := context.Background()
-	if c.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.deadline)
-		defer cancel()
-	}
-	var rec *obs.Recorder
-	var root *obs.Span
-	if c.traceOut != "" {
-		// A one-shot CLI coordinator has no reason to keep the service's
-		// tight ring default: heavy tables (deep SAT ramps) emit tens of
-		// thousands of spans, and dropping them would evict the tree's
-		// roots. The cap still exists as a backstop against runaway runs.
-		traceCap := c.traceCap
-		if traceCap == 0 {
-			traceCap = 1 << 20
-		}
-		rec = obs.NewRecorder(traceCap)
-		root = rec.Start("run", 0)
-		root.SetStr("task", req.Task)
-		ctx = obs.ContextWithSpan(obs.NewContext(ctx, rec), root)
-	}
-	res, err := coord.Run(ctx, req)
-	if err != nil {
-		return err
-	}
-	if rec != nil {
-		root.End()
-		spans, dropped := rec.Snapshot()
-		if err := writeChromeTrace(c.traceOut, spans, dropped); err != nil {
-			return err
-		}
-	}
-	if c.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	}
-	fmt.Println(res.Run.Report.Render())
-	fmt.Fprintf(os.Stderr, "fvevalctl: %d shards over %d workers, %d attempts (%d retried), %d jobs, slowest shard %dms\n",
-		res.Shards, res.Workers, res.Attempts, res.Retries, res.Run.Stats.Jobs, res.Run.Stats.WallMS)
-	return nil
+	return coord.Run(ctx, req)
+}
+
+// printEvent is the -v job line of an in-process run and of
+// submit -follow.
+func printEvent(ev task.Event) {
+	fmt.Fprintf(os.Stderr, "fvevalctl: job %d/%d (%s) %s %dms\n", ev.Done, ev.Total, ev.Instance, ev.Kind, ev.WallMS)
 }
 
 // activateFaults arms a client-side fault-injection plan for the
@@ -334,6 +384,8 @@ func activateFaults(spec string) error {
 }
 
 // buildFleet resolves -workers / -registry / -local into runners.
+// With none of them it returns no runners: the run stays in-process,
+// where the dist-only flags have nothing to act on and are rejected.
 func buildFleet(c *runConfig) ([]dist.Runner, error) {
 	if c.local < 0 {
 		return nil, fmt.Errorf("-local %d out of range", c.local)
@@ -378,11 +430,13 @@ func buildFleet(c *runConfig) ([]dist.Runner, error) {
 		}
 		return runners, nil
 	}
-	n := c.local
-	if n == 0 {
-		n = runtime.NumCPU()
+	if c.local > 0 {
+		return dist.Loopback(c.local, engine.Config{}), nil
 	}
-	return dist.Loopback(n, engine.Config{}), nil
+	if c.shards != 0 || c.attempts != 0 || c.timeout != 0 || c.hedge || c.backoff != 0 || c.backCap != 0 || c.seed != 0 {
+		return nil, fmt.Errorf("-shards, -attempts, -shard-timeout, -hedge, -backoff, -backoff-cap and -seed need a fleet (-workers, -registry or -local)")
+	}
+	return nil, nil
 }
 
 func acceptsCount(spec *task.Spec) bool {
@@ -445,9 +499,7 @@ func submitCmd(args []string) error {
 
 	var progress func(task.Event)
 	if c.verbose {
-		progress = func(ev task.Event) {
-			fmt.Fprintf(os.Stderr, "fvevalctl: job %d/%d (%s) %s %dms\n", ev.Done, ev.Total, ev.Instance, ev.Kind, ev.WallMS)
-		}
+		progress = printEvent
 	}
 	view, err := cl.Run(context.Background(), sub, progress)
 	if err != nil {

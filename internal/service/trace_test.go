@@ -190,15 +190,24 @@ func TestTraceEndpointDistributed(t *testing.T) {
 	if counts["shard"] == 0 || counts["shard-run"] == 0 {
 		t.Fatalf("distributed trace lacks worker spans: %v", counts)
 	}
-	if counts["shard-run"] != counts["shard"] {
-		t.Errorf("%d adopted worker roots vs %d shard spans", counts["shard-run"], counts["shard"])
+	// The server hedges stragglers, so a slow run can carry extra shard
+	// attempts; only each shard's winning attempt (ok=true) adopts its
+	// worker's spans, under exactly that attempt's span.
+	won := 0
+	for _, d := range spans {
+		if d.Name == "shard" && spanOK(d) {
+			won++
+		}
+	}
+	if counts["shard-run"] != won {
+		t.Errorf("%d adopted worker roots vs %d winning shard spans (of %d)", counts["shard-run"], won, counts["shard"])
 	}
 	if counts["job"] != view.Run.Stats.Jobs {
 		t.Errorf("%d job spans across workers, want %d", counts["job"], view.Run.Stats.Jobs)
 	}
 	for _, d := range spans {
-		if d.Name == "shard-run" && byID[d.Parent].Name != "shard" {
-			t.Errorf("worker root %d under %q, want shard", d.ID, byID[d.Parent].Name)
+		if p := byID[d.Parent]; d.Name == "shard-run" && (p.Name != "shard" || !spanOK(p)) {
+			t.Errorf("worker root %d under %q (ok=%v), want a winning shard", d.ID, p.Name, spanOK(p))
 		}
 	}
 	// Merged profile = shard phases + the coordinator's queue wait.
@@ -206,6 +215,16 @@ func TestTraceEndpointDistributed(t *testing.T) {
 	if prof.Queue.Count != 1 || prof.Prompt.Count == 0 {
 		t.Errorf("distributed profile %+v, want one queue sample and worker phases", prof)
 	}
+}
+
+// spanOK reports a span's ok attribute.
+func spanOK(d obs.SpanData) bool {
+	for _, a := range d.Attrs {
+		if a.Key == "ok" {
+			return a.Bool
+		}
+	}
+	return false
 }
 
 // TestPprofAndRuntimeMetrics covers the profiling satellites: pprof

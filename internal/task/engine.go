@@ -157,9 +157,6 @@ func NewEngine(cfg engine.Config) *Engine {
 	return &Engine{base: engine.New(cfg)}
 }
 
-// Config returns the engine's resolved default configuration.
-func (e *Engine) Config() engine.Config { return e.base.Config() }
-
 // CacheStats snapshots the shared equivalence-cache counters.
 func (e *Engine) CacheStats() equiv.CacheStats { return e.base.CacheStats() }
 

@@ -19,8 +19,8 @@ import (
 // invariant the distributed layer (internal/dist) is built on.
 //
 // Partials round-trip through JSON (Encode/DecodePartial), so they
-// double as the fvevald partial-run response body and the cmd/fveval
-// -shard output format.
+// double as the fvevald partial-run response body and the shard
+// transport of internal/dist.
 type Partial struct {
 	// Task is the registry name; Params echo the fully resolved
 	// parameters (identical across every shard of one run).

@@ -47,8 +47,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "chaos-smoke: building fveval, fvevald, fvevalctl (-tags faultinject)"
-go build -tags faultinject -o "$BIN" ./cmd/fveval ./cmd/fvevald ./cmd/fvevalctl
+echo "chaos-smoke: building fvevald, fvevalctl (-tags faultinject)"
+go build -tags faultinject -o "$BIN" ./cmd/fvevald ./cmd/fvevalctl
 
 wait_ready() {
   local port=$1
@@ -110,8 +110,8 @@ report_when_done() {
   exit 1
 }
 
-echo "chaos-smoke: single-process reference run"
-"$BIN/fveval" -table 1 2>/dev/null >"$BIN/single.out"
+echo "chaos-smoke: single-process reference run (in-process, no fleet)"
+"$BIN/fvevalctl" run -task table1 2>/dev/null >"$BIN/single.out"
 
 echo "chaos-smoke: stage 1 — loopback coordinator with injected dispatch/response losses"
 "$BIN/fvevalctl" run -task table1 -local 2 -shards 4 -seed 7 \

@@ -38,8 +38,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "cluster-smoke: building fveval, fvevald, fvevalctl"
-go build -o "$BIN" ./cmd/fveval ./cmd/fvevald ./cmd/fvevalctl
+echo "cluster-smoke: building fvevald, fvevalctl"
+go build -o "$BIN" ./cmd/fvevald ./cmd/fvevalctl
 
 "$BIN/fvevald" -addr "127.0.0.1:$CPORT" -data-dir "$DATA" -pprof >"$BIN/coord.log" 2>&1 &
 COORD=$!
@@ -82,8 +82,8 @@ wait_fleet() {
 }
 wait_fleet
 
-echo "cluster-smoke: single-process reference run"
-"$BIN/fveval" -table 1 2>/dev/null >"$BIN/single.out"
+echo "cluster-smoke: single-process reference run (in-process, no fleet)"
+"$BIN/fvevalctl" run -task table1 2>/dev/null >"$BIN/single.out"
 
 echo "cluster-smoke: 2 HTTP workers (static -workers fleet)"
 "$BIN/fvevalctl" run -task table1 \
@@ -113,7 +113,7 @@ echo "cluster-smoke: server-side distributed run over the registered fleet"
 diff "$BIN/single.out" "$BIN/sdist.out"
 
 echo "cluster-smoke: AGR task family distributed across the fleet"
-"$BIN/fveval" -task agr 2>/dev/null >"$BIN/agr-single.out"
+"$BIN/fvevalctl" run -task agr 2>/dev/null >"$BIN/agr-single.out"
 "$BIN/fvevalctl" run -task agr \
   -workers "http://127.0.0.1:$PORT1,http://127.0.0.1:$PORT2" \
   2>/dev/null >"$BIN/agr-dist.out"
