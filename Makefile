@@ -44,16 +44,17 @@ perfbench-selftest:
 	bash perfbench/run.sh --selftest
 
 # bench regenerates every table/figure once and refreshes the
-# BENCH_tables.json perf-trajectory artifact (benchmark -> ns/op plus
-# schema-v4 metrics such as the prefilter hit rate, with the prior run
-# kept as baseline_ns_per_op for before/after diffs). The benchjson
-# -gate-pct flag doubles as the regression guard: any tableN entry
-# more than BENCH_GATE_PCT percent slower than the committed baseline
-# fails the target (and the CI job) after writing the artifact.
+# BENCH_tables.json perf-trajectory artifact (benchmark -> ns/op, B/op
+# and allocs/op plus custom metrics such as the prefilter hit rate,
+# with the prior run kept as baseline_ns_per_op for before/after
+# diffs). The benchjson -gate-pct flag doubles as the regression guard:
+# any tableN entry more than BENCH_GATE_PCT percent slower than the
+# committed baseline fails the target (and the CI job) after writing
+# the artifact. The gate reads ns/op only.
 BENCH_GATE_PCT ?= 20
 
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./... > bench.out || \
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./... > bench.out || \
 		{ cat bench.out; rm -f bench.out; exit 1; }
 	cat bench.out
 	@gate_rc=0; \

@@ -3,16 +3,16 @@
 // (the Benchmark prefix and -cpus suffix stripped) carrying ns/op, the
 // registry task that regenerates the same artifact, the shard and
 // worker counts parsed from distributed sub-benchmark names
-// ("DistTable1/shards=2/workers=2"), and — schema v4 — every custom
-// benchmark metric (e.g. the simulation prefilter hit rate reported
-// as "prefilter-hit-rate"), so the file tracks prefilter
-// effectiveness next to raw timings. The previous run's ns/op ride
-// along as the baseline, so each artifact carries its own
-// before/after comparison.
+// ("DistTable1/shards=2/workers=2"), every custom benchmark metric
+// (e.g. the simulation prefilter hit rate reported as
+// "prefilter-hit-rate"), so the file tracks prefilter effectiveness
+// next to raw timings, and — schema v5 — the B/op and allocs/op that
+// -benchmem adds. The previous run's ns/op ride along as the baseline,
+// so each artifact carries its own before/after comparison.
 //
 // Usage:
 //
-//	go test -bench=. -benchtime=1x -run='^$' . | go run ./cmd/benchjson -prev BENCH_tables.json > BENCH_tables.json.new
+//	go test -bench=. -benchtime=1x -benchmem -run='^$' . | go run ./cmd/benchjson -prev BENCH_tables.json > BENCH_tables.json.new
 //
 // With -gate-pct N (and -prev), benchjson additionally acts as the
 // CI bench-regression guard: any TableN/DistTableN entry whose ns/op
@@ -28,20 +28,27 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 
 	"fveval/internal/task"
 )
 
-// Entry is one benchmark's record in the v4 schema.
+// Entry is one benchmark's record in the v5 schema.
 type Entry struct {
 	// NsPerOp is nanoseconds per iteration for this run.
 	NsPerOp int64 `json:"ns_per_op"`
+	// BytesPerOp and AllocsPerOp are the heap bytes and allocations
+	// per iteration, present when the run had -benchmem.
+	BytesPerOp  *int64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
 	// Task is the registry task regenerating the same artifact
 	// (fvevalctl run -task <name>), when the benchmark maps to one.
 	Task string `json:"task,omitempty"`
@@ -55,7 +62,7 @@ type Entry struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// File is the BENCH_tables.json schema (fveval-bench/v4).
+// File is the BENCH_tables.json schema (fveval-bench/v5).
 type File struct {
 	Schema string `json:"schema"`
 	// NsPerOp is the flat name → ns/op map, kept from v2 so baselines
@@ -137,10 +144,18 @@ func entryFor(name string, ns int64, tail string) Entry {
 		}
 	}
 	for _, m := range metricPair.FindAllStringSubmatch(tail, -1) {
-		if m[2] == "B/op" || m[2] == "allocs/op" || m[2] == "MB/s" {
-			continue // standard testing metrics, not custom ones
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			continue
 		}
-		if v, err := strconv.ParseFloat(m[1], 64); err == nil {
+		switch m[2] {
+		case "B/op":
+			e.BytesPerOp = ptr(int64(v))
+		case "allocs/op":
+			e.AllocsPerOp = ptr(int64(v))
+		case "MB/s":
+			// throughput from b.SetBytes; no benchmark here sets it
+		default:
 			if e.Metrics == nil {
 				e.Metrics = map[string]float64{}
 			}
@@ -150,31 +165,25 @@ func entryFor(name string, ns int64, tail string) Entry {
 	return e
 }
 
+func ptr(v int64) *int64 { return &v }
+
 // gated reports whether a benchmark participates in the regression
 // gate: every table entry plus the named task-family artifacts,
 // single-process or distributed.
 var gated = regexp.MustCompile(`^(?:Dist)?(?:Table\d|TableAGR|FigureR)`)
 
-func main() {
-	prev := flag.String("prev", "", "previous BENCH_tables.json whose ns_per_op becomes this artifact's baseline")
-	gatePct := flag.Float64("gate-pct", 0, "fail (exit 1) when any TableN entry's ns/op regresses more than this percentage against -prev (0 disables the gate)")
-	flag.Parse()
-
+// parse reads `go test -bench` output into an artifact whose baseline
+// is prev's ns/op (prev may be nil).
+func parse(r io.Reader, prev *File) (File, error) {
 	out := File{
-		Schema:  "fveval-bench/v4",
+		Schema:  "fveval-bench/v5",
 		NsPerOp: map[string]int64{},
 		Entries: map[string]Entry{},
 	}
-	if *prev != "" {
-		if data, err := os.ReadFile(*prev); err == nil {
-			var old File
-			if json.Unmarshal(data, &old) == nil && len(old.NsPerOp) > 0 {
-				out.BaselineNsPerOp = old.NsPerOp
-			}
-		}
+	if prev != nil && len(prev.NsPerOp) > 0 {
+		out.BaselineNsPerOp = prev.NsPerOp
 	}
-
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
@@ -189,11 +198,52 @@ func main() {
 		out.Entries[m[1]] = entryFor(m[1], int64(ns), m[3])
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return File{}, err
 	}
 	if len(out.NsPerOp) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
+		return File{}, errors.New("no benchmark lines on stdin")
+	}
+	return out, nil
+}
+
+// regressions lists every gated benchmark whose ns/op rose more than
+// pct percent over the artifact's baseline. The gate reads ns/op only.
+func regressions(f File, pct float64) []string {
+	var out []string
+	for name, base := range f.BaselineNsPerOp {
+		if !gated.MatchString(name) || base <= 0 {
+			continue
+		}
+		now, ok := f.NsPerOp[name]
+		if !ok {
+			continue // benchmark removed or renamed; not a regression
+		}
+		if limit := float64(base) * (1 + pct/100); float64(now) > limit {
+			out = append(out, fmt.Sprintf("%s regressed %.1f%% (%d -> %d ns/op, gate %.0f%%)",
+				name, 100*(float64(now)/float64(base)-1), base, now, pct))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+func main() {
+	prev := flag.String("prev", "", "previous BENCH_tables.json whose ns_per_op becomes this artifact's baseline")
+	gatePct := flag.Float64("gate-pct", 0, "fail (exit 1) when any TableN entry's ns/op regresses more than this percentage against -prev (0 disables the gate)")
+	flag.Parse()
+
+	var old *File
+	if *prev != "" {
+		if data, err := os.ReadFile(*prev); err == nil {
+			var f File
+			if json.Unmarshal(data, &f) == nil {
+				old = &f
+			}
+		}
+	}
+	out, err := parse(os.Stdin, old)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 
@@ -204,24 +254,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *gatePct > 0 && len(out.BaselineNsPerOp) > 0 {
-		failed := false
-		for name, base := range out.BaselineNsPerOp {
-			if !gated.MatchString(name) || base <= 0 {
-				continue
-			}
-			now, ok := out.NsPerOp[name]
-			if !ok {
-				continue // benchmark removed or renamed; not a regression
-			}
-			limit := float64(base) * (1 + *gatePct/100)
-			if float64(now) > limit {
-				fmt.Fprintf(os.Stderr, "benchjson: %s regressed %.1f%% (%d -> %d ns/op, gate %.0f%%)\n",
-					name, 100*(float64(now)/float64(base)-1), base, now, *gatePct)
-				failed = true
-			}
+	if *gatePct > 0 {
+		regressed := regressions(out, *gatePct)
+		for _, r := range regressed {
+			fmt.Fprintln(os.Stderr, "benchjson:", r)
 		}
-		if failed {
+		if len(regressed) > 0 {
 			os.Exit(1)
 		}
 	}

@@ -9,7 +9,10 @@
 // the next.
 package formal
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Pattern is one concrete trace at the signal level: per-signal values
 // indexed by trace position. Signal-level storage is what makes
@@ -68,20 +71,22 @@ func (b *Bank) Add(p Pattern) {
 // Patterns returns up to max patterns, most recently added first. The
 // returned slice is a fresh copy but the Pattern contents are shared —
 // read-only by contract. A nil *Bank returns nil.
-func (b *Bank) Patterns(max int) []Pattern {
+func (b *Bank) Patterns(max int) []Pattern { return b.AppendPatterns(nil, max) }
+
+// AppendPatterns appends up to max patterns, most recently added
+// first, to dst and returns the extended slice — Patterns into storage
+// the caller reuses across snapshots. A nil *Bank appends nothing.
+func (b *Bank) AppendPatterns(dst []Pattern, max int) []Pattern {
 	if b == nil || max <= 0 {
-		return nil
+		return dst
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := len(b.pats)
-	if n == 0 {
-		return nil
-	}
 	if max > n {
 		max = n
 	}
-	out := make([]Pattern, 0, max)
+	dst = slices.Grow(dst, max)
 	// Newest-first: walk backwards from the write cursor.
 	start := b.next - 1
 	if len(b.pats) < b.cap {
@@ -89,9 +94,9 @@ func (b *Bank) Patterns(max int) []Pattern {
 	}
 	for i := 0; i < max; i++ {
 		idx := (start - i + n) % n
-		out = append(out, b.pats[idx])
+		dst = append(dst, b.pats[idx])
 	}
-	return out
+	return dst
 }
 
 // Len reports the number of patterns currently held.

@@ -112,3 +112,43 @@ func TestSimStatsCounters(t *testing.T) {
 	nilStats.SimPatterns(1)
 	nilStats.SimRefuted(true, 1) // must not panic
 }
+
+// TestAppendPatternsMatchesPatterns checks that refreshing one reused
+// snapshot slice yields exactly what a fresh Patterns copy does, at
+// every fill level of the ring and every request size, and that the
+// refresh stops allocating once the slice has grown.
+func TestAppendPatternsMatchesPatterns(t *testing.T) {
+	b := NewBank(5)
+	var snap []Pattern
+	check := func(stage string) {
+		t.Helper()
+		for _, max := range []int{-1, 0, 1, 3, 5, 8} {
+			want := b.Patterns(max)
+			snap = b.AppendPatterns(snap[:0], max)
+			if len(snap) != len(want) {
+				t.Fatalf("%s max %d: %d patterns, want %d", stage, max, len(snap), len(want))
+			}
+			for i := range want {
+				if snap[i].Len != want[i].Len || snap[i].Vals["s"][0] != want[i].Vals["s"][0] {
+					t.Fatalf("%s max %d: pattern %d = %v, want %v", stage, max, i, snap[i], want[i])
+				}
+			}
+		}
+	}
+	check("empty")
+	for i := uint64(1); i <= 12; i++ {
+		b.Add(pat(int(i), "s", i))
+		check("after add")
+	}
+	prefix := []Pattern{pat(1, "p", 9)}
+	if got := b.AppendPatterns(prefix, 2); len(got) != 3 || got[0].Vals["p"][0] != 9 || got[1].Vals["s"][0] != 12 {
+		t.Fatalf("append after a prefix: %v", got)
+	}
+	var nilBank *Bank
+	if got := nilBank.AppendPatterns(snap[:0], 4); len(got) != 0 {
+		t.Fatalf("nil bank appended %d patterns", len(got))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { snap = b.AppendPatterns(snap[:0], 5) }); allocs != 0 {
+		t.Fatalf("a grown snapshot refresh allocated %.0f times", allocs)
+	}
+}

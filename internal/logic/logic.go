@@ -58,6 +58,7 @@ type Builder struct {
 	inputs   []Node  // free input nodes in creation order
 	isVar    []bool  // per-index: true if free input
 	hashHits int64   // And calls answered from the hash table
+	rec      *Tape   // when non-nil, receives And and Mux calls
 }
 
 // NewBuilder returns an empty circuit builder.
@@ -82,6 +83,7 @@ func (b *Builder) Reset() {
 	clear(b.htab)
 	b.hcount = 0
 	b.hashHits = 0
+	b.rec = nil
 }
 
 // hashIdx returns the open-addressing start slot for a gate.
@@ -134,6 +136,13 @@ func (b *Builder) Inputs() []Node { return b.inputs }
 // IsInput reports whether n references a free input node.
 func (b *Builder) IsInput(n Node) bool { return b.isVar[n.index()] }
 
+// Fanins returns the two inputs of the And gate n references, or two
+// False nodes when n references an input or a constant.
+func (b *Builder) Fanins(n Node) (x, y Node) {
+	g := b.gates[n.index()]
+	return g.a, g.b
+}
+
 // And returns the conjunction of x and y with constant folding and
 // structural hashing.
 func (b *Builder) And(x, y Node) Node {
@@ -164,7 +173,11 @@ func (b *Builder) And(x, y Node) Node {
 		}
 		if b.gates[e-1] == g {
 			b.hashHits++
-			return Node((e - 1) << 1)
+			out := Node((e - 1) << 1)
+			if b.rec != nil {
+				b.rec.Ops = append(b.rec.Ops, TapeOp{X: x, Y: y, Z: NoMux, Out: out})
+			}
+			return out
 		}
 		slot = (slot + 1) & mask
 	}
@@ -176,7 +189,11 @@ func (b *Builder) And(x, y Node) Node {
 	if 10*b.hcount >= 7*len(b.htab) {
 		b.hrehash()
 	}
-	return Node(idx << 1)
+	out := Node(idx << 1)
+	if b.rec != nil {
+		b.rec.Ops = append(b.rec.Ops, TapeOp{X: x, Y: y, Z: NoMux, Out: out})
+	}
+	return out
 }
 
 // Or returns the disjunction of x and y.
@@ -198,6 +215,9 @@ func (b *Builder) Implies(x, y Node) Node { return b.Or(x.Not(), y) }
 func (b *Builder) Mux(sel, t, f Node) Node {
 	if t == f {
 		return t
+	}
+	if b.rec != nil {
+		return b.recordMux(sel, t, f)
 	}
 	return b.Or(b.And(sel, t), b.And(sel.Not(), f))
 }

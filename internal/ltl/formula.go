@@ -219,14 +219,23 @@ func HasUnbounded(f Formula) bool {
 func UsesPast(f Formula) bool {
 	found := false
 	walkAtoms(f, func(a *FAtom) {
-		sva.WalkExprs(&sva.PropSeq{S: &sva.SeqExpr{E: a.E}}, func(e sva.Expr) {
-			if c, ok := e.(*sva.Call); ok {
-				switch c.Name {
-				case "$past", "$rose", "$fell", "$stable", "$changed":
-					found = true
-				}
+		found = found || ExprUsesPast(a.E)
+	})
+	return found
+}
+
+// ExprUsesPast reports whether an expression references the previous
+// position: evaluated at position p, it reads signals at positions
+// other than p.
+func ExprUsesPast(e sva.Expr) bool {
+	found := false
+	sva.WalkExprs(&sva.PropSeq{S: &sva.SeqExpr{E: e}}, func(e sva.Expr) {
+		if c, ok := e.(*sva.Call); ok {
+			switch c.Name {
+			case "$past", "$rose", "$fell", "$stable", "$changed":
+				found = true
 			}
-		})
+		}
 	})
 	return found
 }

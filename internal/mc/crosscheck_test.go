@@ -114,9 +114,8 @@ endmodule`, "sh"},
 			}
 			sim := modelSim(fe, cnf, model)
 			for p := 0; p < frames; p++ {
-				for _, r := range sys.Regs {
-					bv := fe.states[sigPos{r.Name, p}]
-					got := decodeBVLane(bv, sim, 0)
+				for i, r := range sys.Regs {
+					got := decodeBVLane(fe.state(i, p), sim, 0)
 					want := concrete[p][r.Name]
 					if got != want {
 						t.Fatalf("frame %d reg %s: symbolic %d concrete %d",

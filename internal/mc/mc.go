@@ -21,7 +21,6 @@
 package mc
 
 import (
-	"fmt"
 	"time"
 
 	"fveval/internal/bitvec"
@@ -229,126 +228,6 @@ func assumeConstraint(le *ltl.LassoEval, assumes []ltl.Formula, frames int) (log
 	return acc, nil
 }
 
-// frameEnv implements ltl.Env over an unrolled transition system.
-type frameEnv struct {
-	b   *logic.Builder
-	sys *rtl.System
-	ev  *ltl.ExprEval
-
-	inputs map[sigPos]bitvec.BV
-	states map[sigPos]bitvec.BV
-	nets   map[sigPos]bitvec.BV
-	busy   map[sigPos]bool
-}
-
-type sigPos struct {
-	name string
-	pos  int
-}
-
-func newFrameEnv(b *logic.Builder, sys *rtl.System) *frameEnv {
-	fe := &frameEnv{
-		b:      b,
-		sys:    sys,
-		inputs: map[sigPos]bitvec.BV{},
-		states: map[sigPos]bitvec.BV{},
-		nets:   map[sigPos]bitvec.BV{},
-		busy:   map[sigPos]bool{},
-	}
-	fe.ev = &ltl.ExprEval{Ops: bitvec.Ops{B: b}, Env: fe}
-	return fe
-}
-
-// initFrame0 seats frame-0 register values: concrete reset values, or
-// fresh variables for the inductive step.
-func (fe *frameEnv) initFrame0(free bool) {
-	for _, r := range fe.sys.Regs {
-		key := sigPos{r.Name, 0}
-		if free {
-			fe.states[key] = bitvec.Inputs(fe.b, r.Width)
-		} else {
-			fe.states[key] = bitvec.Const(r.Init, r.Width)
-		}
-	}
-}
-
-// unroll extends register states through frame n (exclusive).
-func (fe *frameEnv) unroll(n int) error {
-	for p := 1; p < n; p++ {
-		if _, ok := fe.states[sigPos{firstRegName(fe.sys), p}]; ok && len(fe.sys.Regs) > 0 {
-			continue
-		}
-		for _, r := range fe.sys.Regs {
-			next, err := fe.ev.Eval(r.Next, p-1)
-			if err != nil {
-				return err
-			}
-			fe.states[sigPos{r.Name, p}] = next.Extend(r.Width)
-		}
-	}
-	return nil
-}
-
-func firstRegName(sys *rtl.System) string {
-	if len(sys.Regs) > 0 {
-		return sys.Regs[0].Name
-	}
-	return ""
-}
-
-// Signal implements ltl.Env.
-func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
-	key := sigPos{name, pos}
-	if v, ok := fe.states[key]; ok {
-		return v, nil
-	}
-	if fe.sys.IsInput(name) {
-		if v, ok := fe.inputs[key]; ok {
-			return v, nil
-		}
-		w := fe.sys.Widths[name]
-		v := bitvec.Inputs(fe.b, w)
-		fe.inputs[key] = v
-		return v, nil
-	}
-	if _, isReg := fe.sys.RegByName(name); isReg {
-		// register value requested beyond the unrolled range
-		return bitvec.BV{}, &ltl.ElabError{Reason: fmt.Sprintf("register %s not unrolled at %d", name, pos)}
-	}
-	if net, ok := fe.sys.NetByName(name); ok {
-		if v, ok := fe.nets[key]; ok {
-			return v, nil
-		}
-		if fe.busy[key] {
-			return bitvec.BV{}, &ltl.ElabError{Reason: "combinational loop through \"" + name + "\""}
-		}
-		fe.busy[key] = true
-		v, err := fe.ev.Eval(net.Expr, pos)
-		// Clear the mark on every path: a mark left behind by a failed
-		// evaluation would make the next lookup report a spurious loop.
-		delete(fe.busy, key)
-		if err != nil {
-			return bitvec.BV{}, err
-		}
-		v = v.Extend(net.Width)
-		fe.nets[key] = v
-		return v, nil
-	}
-	return bitvec.BV{}, &ltl.ElabError{Reason: fmt.Sprintf("undeclared identifier %q", name)}
-}
-
-// SignalWidth implements ltl.Env.
-func (fe *frameEnv) SignalWidth(name string) (int, bool) {
-	w, ok := fe.sys.Widths[name]
-	return w, ok
-}
-
-// Constant implements ltl.Env.
-func (fe *frameEnv) Constant(name string) (uint64, int, bool) {
-	c, ok := fe.sys.Consts[name]
-	return c.Value, c.Width, ok
-}
-
 // violation builds "attempt at position p fails and is not aborted":
 // the property is false at p and the abort expression stays low across
 // the attempt window.
@@ -449,7 +328,7 @@ type safetySession struct {
 func newSafetySession(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, lemmas []assumedLemma, d int, freeInit bool, opt Options) *safetySession {
 	st := getStore()
 	b, s := st.b, st.s
-	fe := newFrameEnv(b, sys)
+	fe := st.env(sys)
 	fe.initFrame0(freeInit)
 	if opt.Budget > 0 {
 		// Per-call budget: every depth's Solve gets the full allowance,
@@ -464,10 +343,10 @@ func newSafetySession(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []
 		lemNext:  make([]int, len(lemmas)),
 		conj:     logic.True,
 		freeInit: freeInit,
+		banked:   st.banked[:0],
 	}
 	if opt.SimPatterns > 0 {
 		ss.sim = st.sim
-		ss.banked = opt.Bank.Patterns(64)
 		// Fixed seed: deterministic pattern stream per session.
 		ss.rng = 0x5eed5eed5eed5eed
 	}
@@ -497,7 +376,7 @@ func (ss *safetySession) simRefute(v logic.Node) (int, bool, bool) {
 	// Refresh the bank snapshot per query: models found earlier in this
 	// very session (or by its sibling) are the best predictors of the
 	// next depth's refutation.
-	ss.banked = ss.opt.Bank.Patterns(64)
+	ss.banked = ss.opt.Bank.AppendPatterns(ss.banked[:0], 64)
 	// Free-initial-state sessions get one structured round first: lane
 	// j seeds every register with the small value j, sweeping all 64
 	// low state encodings at once — for the benchmark's FSM and
@@ -569,10 +448,10 @@ func (ss *safetySession) setSimInputs(bankLanes int, bankMask uint64) {
 			words[i] = 0
 		}
 	}
-	for _, in := range ss.sys.Inputs {
+	for i, in := range ss.sys.Inputs {
 		for p := 0; p < ss.frames; p++ {
-			bv, ok := ss.fe.inputs[sigPos{in.Name, p}]
-			if !ok {
+			bv := ss.fe.inputAt(i, p)
+			if bv.Bits == nil {
 				continue
 			}
 			if bankLanes > 0 {
@@ -587,11 +466,8 @@ func (ss *safetySession) setSimInputs(bankLanes int, bankMask uint64) {
 		// frame: recycled valid-looking states refute induction steps
 		// where uniform random state bits rarely do (empirically they
 		// beat deep-frame states, which tend to sit mid-violation).
-		for _, r := range ss.sys.Regs {
-			bv, ok := ss.fe.states[sigPos{r.Name, 0}]
-			if !ok {
-				continue
-			}
+		for ri, r := range ss.sys.Regs {
+			bv := ss.fe.state(ri, 0)
 			switch {
 			case structured:
 				for i, bit := range bv.Bits {
@@ -789,6 +665,7 @@ func (ss *safetySession) finish(st *formal.Stats, early bool) {
 	st.Query(ss.solves, ss.conflicts, ss.learntKept, early)
 	st.GatesShared(ss.b.HashHits() - ss.hashMark)
 	st.NodesEncoded(int64(ss.cnf.Encoded()))
+	ss.st.banked = ss.banked
 	putStore(ss.st)
 }
 
@@ -871,22 +748,28 @@ func checkLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl
 	}
 	ops := bitvec.Ops{B: b}
 	perLoop := make([]logic.Node, k) // violation per loop start
+	nexts := make([]bitvec.BV, len(sys.Regs))
 	total := logic.False
 	for l := 0; l < k; l++ {
 		le := ltl.NewLassoEval(fe.ev, k, l)
 		// loop closure: next-state of frame k-1 equals state at l —
-		// and the loop's input columns repeat by construction.
+		// and the loop's input columns repeat by construction. The
+		// next-states are built on the first loop start, interleaved
+		// with its equalities, and reused by the later ones.
 		closure := logic.True
-		for _, r := range sys.Regs {
-			next, err := fe.ev.Eval(r.Next, k-1)
-			if err != nil {
-				return Result{}, err
+		for i, r := range sys.Regs {
+			if l == 0 {
+				next, err := fe.ev.Eval(r.Next, k-1)
+				if err != nil {
+					return Result{}, err
+				}
+				nexts[i] = next.Extend(r.Width)
 			}
 			at, err := fe.Signal(r.Name, l)
 			if err != nil {
 				return Result{}, err
 			}
-			closure = b.And(closure, ops.Eq(next.Extend(r.Width), at))
+			closure = b.And(closure, ops.Eq(nexts[i], at))
 		}
 		// inputs must repeat across the loop seam for the lasso to be
 		// a genuine infinite trace.
@@ -952,22 +835,26 @@ func checkLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl
 // modelSim broadcasts a SAT model's free-variable values into a
 // one-lane run of the dense bit-parallel evaluator; derived nets and
 // register states are recomputed from the inputs, exactly as the
-// map-based evaluator did.
+// map-based evaluator did. It runs on the environment's recycled
+// decoder when it has one, reset first so every input the model does
+// not set reads zero.
 func modelSim(fe *frameEnv, cnf *logic.CNF, model []bool) *logic.Sim {
-	sim := logic.NewSim(fe.b)
-	set := func(bv bitvec.BV) {
-		for _, bit := range bv.Bits {
-			if !bit.IsConst() && fe.b.IsInput(bit) && cnf.InputValue(model, bit) != bit.Compl() {
-				sim.SetInput(bit, ^uint64(0))
+	sim := fe.dsim
+	if sim == nil {
+		sim = logic.NewSim(fe.b)
+	}
+	sim.Reset()
+	set := func(bvs []bitvec.BV) {
+		for _, bv := range bvs {
+			for _, bit := range bv.Bits {
+				if !bit.IsConst() && fe.b.IsInput(bit) && cnf.InputValue(model, bit) != bit.Compl() {
+					sim.SetInput(bit, ^uint64(0))
+				}
 			}
 		}
 	}
-	for _, bv := range fe.inputs {
-		set(bv)
-	}
-	for _, bv := range fe.states {
-		set(bv)
-	}
+	set(fe.inputs)
+	set(fe.states)
 	sim.Run()
 	return sim
 }
@@ -983,14 +870,14 @@ func decodeCexLane(sys *rtl.System, fe *frameEnv, sim *logic.Sim, lane, n, loop 
 	cex := &Cex{Loop: loop}
 	for p := 0; p < n; p++ {
 		frame := map[string]uint64{}
-		for _, in := range sys.Inputs {
-			if bv, ok := fe.inputs[sigPos{in.Name, p}]; ok {
+		for i, in := range sys.Inputs {
+			if bv := fe.inputAt(i, p); bv.Bits != nil {
 				frame[in.Name] = decodeBVLane(bv, sim, lane)
 			}
 		}
-		for _, r := range sys.Regs {
-			if bv, ok := fe.states[sigPos{r.Name, p}]; ok {
-				frame[r.Name] = decodeBVLane(bv, sim, lane)
+		if p < fe.frames {
+			for i, r := range sys.Regs {
+				frame[r.Name] = decodeBVLane(fe.state(i, p), sim, lane)
 			}
 		}
 		cex.Frames = append(cex.Frames, frame)

@@ -4,23 +4,30 @@ import (
 	"runtime"
 	"sync"
 
+	"fveval/internal/formal"
 	"fveval/internal/logic"
+	"fveval/internal/rtl"
 	"fveval/internal/sat"
 )
 
 // store is the growable storage behind one safety session: the circuit
-// builder, the SAT solver, the CNF emitter between them and the
-// prefilter's simulator. Every BMC base and induction step session
+// builder, the SAT solver, the CNF emitter between them, the
+// prefilter's simulator, the counterexample decoder's simulator and
+// the frame environment's signal slices and the prefilter's bank
+// snapshot. Every BMC base and induction step session
 // takes one from a small free list and returns it, reset, when its
 // check finishes, so back-to-back checks grow into storage an earlier
 // check already allocated instead of allocating it again (DESIGN.md
 // §15). A reset store is indistinguishable from a fresh one: node ids,
 // SAT variables and every search step repeat.
 type store struct {
-	b   *logic.Builder
-	s   *sat.Solver
-	cnf *logic.CNF
-	sim *logic.Sim
+	b      *logic.Builder
+	s      *sat.Solver
+	cnf    *logic.CNF
+	sim    *logic.Sim
+	dsim   *logic.Sim
+	fe     frameEnv
+	banked []formal.Pattern
 }
 
 // maxStoreNodes bounds what the free list retains: a store whose
@@ -55,7 +62,14 @@ func getStore() *store {
 func newStore() *store {
 	b := logic.NewBuilder()
 	s := sat.New()
-	return &store{b: b, s: s, cnf: logic.NewCNF(b, s), sim: logic.NewSim(b)}
+	return &store{b: b, s: s, cnf: logic.NewCNF(b, s), sim: logic.NewSim(b), dsim: logic.NewSim(b)}
+}
+
+// env hands out the store's frame environment, reset for sys.
+func (st *store) env(sys *rtl.System) *frameEnv {
+	st.fe.reset(st.b, sys)
+	st.fe.dsim = st.dsim
+	return &st.fe
 }
 
 // putStore resets a store and returns it to the free list, unless it
@@ -69,6 +83,10 @@ func putStore(st *store) {
 	st.s.Reset()
 	st.cnf.Reset()
 	st.sim.Reset()
+	st.dsim.Reset()
+	st.fe.release()
+	clear(st.banked[:cap(st.banked)])
+	st.banked = st.banked[:0]
 	freeStores.Lock()
 	if len(freeStores.list) < 2*runtime.GOMAXPROCS(0) {
 		freeStores.list = append(freeStores.list, st)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"fveval/internal/bitvec"
 	"fveval/internal/formal"
 	"fveval/internal/gen/rtlgen"
 	"fveval/internal/logic"
@@ -271,6 +272,57 @@ endmodule`)
 			first = res
 		} else if !reflect.DeepEqual(res, first) {
 			t.Fatalf("run %d reported %+v, run 0 %+v", i, res.Cex, first.Cex)
+		}
+	}
+}
+
+// TestDecodeSimResetsBetweenModels decodes two models on one store's
+// recycled decoder: an all-ones model, then an all-zeros one. The
+// second decode must read zero everywhere, as a decode on a fresh
+// simulator does; a decoder keeping the first model's lanes would not.
+func TestDecodeSimResetsBetweenModels(t *testing.T) {
+	sys := fsmSystem(t)
+	st := newStore()
+	fe := st.env(sys)
+	fe.initFrame0(true)
+	const frames = 3
+	if err := fe.unroll(frames); err != nil {
+		t.Fatal(err)
+	}
+	for i := range sys.Inputs {
+		for p := 0; p < frames; p++ {
+			if _, err := fe.Signal(sys.Inputs[i].Name, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, bvs := range [][]bitvec.BV{fe.inputs, fe.states} {
+		for _, bv := range bvs {
+			for _, bit := range bv.Bits {
+				st.cnf.Lit(bit)
+			}
+		}
+	}
+	ones := make([]bool, st.s.NumVars())
+	for i := range ones {
+		ones[i] = true
+	}
+	zeros := make([]bool, st.s.NumVars())
+	first := decodeCex(sys, fe, st.cnf, ones, frames, -1)
+	if first.Frames[1][sys.Inputs[0].Name] == 0 {
+		t.Fatalf("all-ones model decoded input %s as zero", sys.Inputs[0].Name)
+	}
+	got := decodeCex(sys, fe, st.cnf, zeros, frames, -1)
+	fe.dsim = nil // decode on a fresh simulator
+	want := decodeCex(sys, fe, st.cnf, zeros, frames, -1)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recycled decoder: %+v, fresh: %+v", got.Frames, want.Frames)
+	}
+	for p, frame := range got.Frames {
+		for name, v := range frame {
+			if v != 0 {
+				t.Fatalf("frame %d: %s = %d after an all-zeros model", p, name, v)
+			}
 		}
 	}
 }

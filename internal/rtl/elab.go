@@ -3,6 +3,7 @@ package rtl
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"fveval/internal/ltl"
 	"fveval/internal/sva"
@@ -50,6 +51,9 @@ type System struct {
 	netIdx map[string]int
 	regIdx map[string]int
 	inIdx  map[string]int
+
+	tmplOnce sync.Once
+	tmpl     *FrameTemplate
 }
 
 // NetByName returns the net definition, if any.
@@ -60,18 +64,22 @@ func (s *System) NetByName(name string) (*Net, bool) {
 	return nil, false
 }
 
-// RegByName returns the register, if any.
-func (s *System) RegByName(name string) (*Reg, bool) {
-	if i, ok := s.regIdx[name]; ok {
-		return &s.Regs[i], true
-	}
-	return nil, false
+// RegIndex returns the position of a register in Regs.
+func (s *System) RegIndex(name string) (int, bool) {
+	i, ok := s.regIdx[name]
+	return i, ok
 }
 
-// IsInput reports whether name is a free input.
-func (s *System) IsInput(name string) bool {
-	_, ok := s.inIdx[name]
-	return ok
+// InputIndex returns the position of a free input in Inputs.
+func (s *System) InputIndex(name string) (int, bool) {
+	i, ok := s.inIdx[name]
+	return i, ok
+}
+
+// NetIndex returns the position of a net in Nets.
+func (s *System) NetIndex(name string) (int, bool) {
+	i, ok := s.netIdx[name]
+	return i, ok
 }
 
 // Sigs exposes the signal environment for assertion checking: every

@@ -199,11 +199,11 @@ func TestParseModules(t *testing.T) {
 
 func TestFSMElaborationAndReset(t *testing.T) {
 	sys := elaborate(t, fsmSrc, "fsm")
-	st, ok := sys.RegByName("state")
+	i, ok := sys.RegIndex("state")
 	if !ok {
 		t.Fatalf("state register missing; regs: %v", sys.Regs)
 	}
-	if st.Init != 0 {
+	if st := sys.Regs[i]; st.Init != 0 {
 		t.Fatalf("state reset value: %d", st.Init)
 	}
 	if sys.Consts["S2"].Value != 2 || sys.Consts["S2"].Width != 2 {
